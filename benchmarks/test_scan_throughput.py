@@ -23,13 +23,6 @@ script-heavy creatives: the same render workload under
 ``REPRO_ADSCRIPT_VM=tree`` vs ``bytecode``, warm caches and
 single-threaded on both sides, so the ≥1.5× VM-over-tree floor is
 hardware-independent.  Emits ``ADSCRIPT_VM_JSON``.
-
-A third benchmark measures the VM's warm hot-path pass (DESIGN §16):
-the same script-heavy workload on the bytecode VM with
-``REPRO_ADSCRIPT_FUSION`` off vs on (superinstructions + inline
-caches), warm caches and single-threaded on both sides, so the ≥1.2×
-fused-over-unfused floor is hardware-independent.  Emits
-``VM_HOTPATH_JSON``.
 """
 
 from __future__ import annotations
@@ -53,22 +46,16 @@ WARM_SPEEDUP_FLOOR = 2.0
 # creatives (both engines warm-cached and single-threaded).
 VM_SPEEDUP_FLOOR = 1.5
 
-# Required fused-over-unfused speedup for the VM hot-path pass
-# (superinstructions + inline caches), warm and single-threaded.
-FUSION_SPEEDUP_FLOOR = 1.2
-
 if SMOKE:
     N_CREATIVES = 8
     LIB_FUNCTIONS = 60
     N_HEAVY_CREATIVES = 3
     HEAVY_ITERATIONS = 150
-    HOTPATH_ITERATIONS = 200
 else:
     N_CREATIVES = 30
     LIB_FUNCTIONS = 150
     N_HEAVY_CREATIVES = 8
     HEAVY_ITERATIONS = 900
-    HOTPATH_ITERATIONS = 2500
 
 
 def emit(name: str, payload: dict) -> None:
@@ -283,135 +270,3 @@ class TestAdscriptVmThroughput:
             assert speedup >= VM_SPEEDUP_FLOOR, (
                 f"bytecode VM only {speedup:.2f}x tree walker "
                 f"(floor {VM_SPEEDUP_FLOOR}x)")
-
-
-def _hotpath_creative(index: int) -> str:
-    """A creative whose loop body is almost entirely fusable pairs/triples.
-
-    Expressions are shaped the way ad-tag hot loops come out of the
-    compiler — ``i * 3 + acc`` is LOAD/CONST/MUL then LOAD/ADD, which the
-    peephole pass folds to two superinstructions — and the loop lives in
-    a function so every load is a slot access: with the operand loads
-    cheap, dispatch overhead (what fusion removes) dominates the loop.
-    """
-    return (
-        "<html><head><title>hot</title></head><body>"
-        f"<div id='slot{index}' class='ad-unit'>hot {index}</div>"
-        "<script>"
-        "function hot(seed, lim) {\n"
-        "  var acc = seed;\n"
-        "  var t = 0;\n"
-        "  for (var i = 0; i < lim; i++) {\n"
-        "    acc = i * 3 + acc;\n"
-        "    acc = acc % 65521;\n"
-        "    t = acc * 2 + t;\n"
-        "    t = t % 9973;\n"
-        "    if (acc === 7) { t = t + 1; }\n"
-        "    if (t < 13) { t = 13 - t; }\n"
-        "  }\n"
-        "  return acc + t;\n"
-        "}\n"
-        f"var digest = hot({index + 1}, {HOTPATH_ITERATIONS});\n"
-        "document.write('<span>' + digest + '</span>');"
-        "</script></body></html>"
-    )
-
-
-def _ic_creative() -> str:
-    """A creative dominated by member reads on a shape-published host.
-
-    ``Math`` publishes a shape token, so after one miss per site every
-    ``Math.floor``/``Math.PI`` read is an inline-cache hit — kept out of
-    the fusion-timed creatives (a native call per iteration would dilute
-    the dispatch-bound ratio the floor protects) and rendered untimed,
-    purely so the report's ``ic_hits`` reflects a real render path.
-    """
-    return (
-        "<html><head><title>ic</title></head><body>"
-        "<div id='icslot' class='ad-unit'>ic</div>"
-        "<script>"
-        "function warm(lim) {\n"
-        "  var s = 0;\n"
-        "  for (var i = 0; i < lim; i++) {\n"
-        "    s = s + Math.floor(i / 2) + Math.PI;\n"
-        "  }\n"
-        "  return s;\n"
-        "}\n"
-        f"document.write('<span>' + warm({HOTPATH_ITERATIONS}) + '</span>');"
-        "</script></body></html>"
-    )
-
-
-def _fusion_pass(enabled: bool, creatives: list[str]):
-    """One warm single-threaded bytecode-VM pass with fusion on/off."""
-    previous = os.environ.get("REPRO_ADSCRIPT_FUSION")
-    os.environ["REPRO_ADSCRIPT_FUSION"] = "on" if enabled else "off"
-    try:
-        return _engine_pass("bytecode", creatives)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_ADSCRIPT_FUSION", None)
-        else:
-            os.environ["REPRO_ADSCRIPT_FUSION"] = previous
-
-
-class TestVmHotpath:
-    def test_fused_hot_path_beats_unfused(self):
-        from repro.adscript.vm import hotpath_stats
-
-        creatives = [_hotpath_creative(i) for i in range(N_HEAVY_CREATIVES)]
-
-        clear_all_caches()
-        base = hotpath_stats()
-        unfused_time, unfused_reports = _fusion_pass(False, creatives)
-        after_unfused = hotpath_stats()
-        # clear_all_caches also resets the adscript_ic hit/miss counters,
-        # so each pass diffs against a snapshot taken right after its
-        # clear, not against the other pass's totals.
-        clear_all_caches()
-        mid = hotpath_stats()
-        fused_time, fused_reports = _fusion_pass(True, creatives)
-        after_fused = hotpath_stats()
-        # Untimed IC pass: member-read-heavy creative on the cache-opted
-        # Math host, so the inline-cache counters reflect a real render.
-        _engine_pass("bytecode", [_ic_creative()])
-        ic_stats = hotpath_stats()
-
-        supers_unfused = (after_unfused["superinstructions_executed"]
-                          - base["superinstructions_executed"])
-        supers_fused = (after_fused["superinstructions_executed"]
-                        - mid["superinstructions_executed"])
-        ic_hits = ic_stats["ic_hits"] - after_fused["ic_hits"]
-        ic_misses = ic_stats["ic_misses"] - after_fused["ic_misses"]
-
-        # The hot-path pass must be invisible in the reports.
-        assert [_report_key(r) for r in unfused_reports] == \
-            [_report_key(r) for r in fused_reports]
-        # ... and must actually have run: none off, plenty on.
-        assert supers_unfused == 0
-        assert supers_fused > 0
-        # The IC pass must have served its warm reads from the caches.
-        assert ic_hits > 0
-        assert ic_hits > ic_misses
-
-        speedup = unfused_time / fused_time if fused_time > 0 \
-            else float("inf")
-        floor_applies = not SMOKE
-        emit("VM_HOTPATH_JSON", {
-            "workload": {"creatives": N_HEAVY_CREATIVES,
-                         "loop_iterations": HOTPATH_ITERATIONS,
-                         "smoke": SMOKE},
-            "unfused": {"seconds": round(unfused_time, 3)},
-            "fused": {"seconds": round(fused_time, 3),
-                      "superinstructions_executed": supers_fused},
-            "inline_caches": {"hits": ic_hits, "misses": ic_misses},
-            "speedup": round(speedup, 2),
-            "floor": {"fusion_speedup": FUSION_SPEEDUP_FLOOR,
-                      "enforced": floor_applies,
-                      "measured": round(speedup, 2)},
-        })
-
-        if floor_applies:
-            assert speedup >= FUSION_SPEEDUP_FLOOR, (
-                f"fused hot path only {speedup:.2f}x unfused "
-                f"(floor {FUSION_SPEEDUP_FLOOR}x)")

@@ -49,7 +49,6 @@ registry under ``adscript_bytecode``, keyed off the same sha256 as the
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Any, Optional
 
 from repro.adscript import ast_nodes as ast
@@ -132,16 +131,6 @@ _OPCODE_NAMES = (
     "FORIN_DECLARE",
     "FORIN_NEXT",
     "EXEC_TRY",
-    # Superinstructions (peephole-fused straight-line sequences; see the
-    # "Superinstruction fusion" section below).  Appended after the base set
-    # so base opcode integers stay stable.
-    "SUPER_PP_BIN",  # push, push, bin
-    "SUPER_P_BIN",  # push, bin (left operand already on the stack)
-    "SUPER_CMP_JF",  # bin, JUMP_IF_FALSE
-    "SUPER_P_CMP_JF",  # push, bin, JUMP_IF_FALSE
-    "SUPER_PP_CMP_JF",  # push, push, bin, JUMP_IF_FALSE (loop guards)
-    "SUPER_DUP_STORE_POP",  # DUP, STORE_*, POP (assignment statements)
-    "SUPER_STORE_POP",  # STORE_*, POP (inc/dec statement tails)
 )
 
 # Export OP_<NAME> integer constants.
@@ -172,12 +161,6 @@ class CodeObject:
     free instruction stream); ``args`` holds Python operand objects directly.
     Immutable after compilation, so instances are shared freely across
     threads and interpreters via the compile cache.
-
-    ``ics`` is the one mutable field: the VM's lazily-allocated per-site
-    inline-cache table (pc -> entries) for member lookups on shape-publishing
-    HostObjects.  Entries are only ever swapped whole (atomic under the GIL),
-    and a stale or lost entry merely costs an extra miss, so the instruction
-    stream's shareability is unaffected.
     """
 
     __slots__ = (
@@ -190,7 +173,6 @@ class CodeObject:
         "slot_names",
         "param_slots",
         "hoisted",
-        "ics",
     )
 
     def __init__(
@@ -214,7 +196,6 @@ class CodeObject:
         self.slot_names = slot_names  # tuple => slot mode; None => dynamic
         self.param_slots = param_slots
         self.hoisted = hoisted  # ((name, FunctionMeta), ...) direct-body decls
-        self.ics = None  # lazily: [entries-or-None] * len(ops), owned by the VM
 
 
 class FunctionMeta:
@@ -981,359 +962,6 @@ _EXPR = {
 }
 
 
-# -- superinstruction fusion ---------------------------------------------------
-#
-# A post-compile peephole pass over the finished instruction stream.  It fuses
-# hot straight-line sequences into single superinstructions so the VM pays one
-# dispatch (tuple loads + opcode chain walk) instead of two to four:
-#
-#   push, push, bin                  -> SUPER_PP_BIN    (k1,o1,c2,k2,o2,c3,bin)
-#   push, bin                        -> SUPER_P_BIN     (k1,o1,c2,bin)
-#   bin, JUMP_IF_FALSE               -> SUPER_CMP_JF    (bin,c2,target)
-#   push, bin, JUMP_IF_FALSE         -> SUPER_P_CMP_JF  (k1,o1,c2,bin,c3,target)
-#   push, push, bin, JUMP_IF_FALSE   -> SUPER_PP_CMP_JF (k1,o1,c2,k2,o2,c3,bin,
-#                                                        c4,target)
-#   DUP, store, POP                  -> SUPER_DUP_STORE_POP (sk,so,c2,c3)
-#   store, POP                       -> SUPER_STORE_POP     (sk,so,c2)
-#
-# "push" is any of CONST / LOAD_LOCAL / LOAD_NAME and their soft variants,
-# encoded as a small kind integer plus the original operand; "bin" is any
-# fast BIN_* opcode (encoded as its opcode integer) or the generic BINARY
-# (encoded as its operator string); "store" is STORE_LOCAL or STORE_NAME
-# (kind integer ``sk`` plus the original operand ``so``).  The store pairs
-# are how every assignment statement and ``i++`` update ends, so fusing
-# them removes the dispatch tail the bin patterns cannot reach.
-#
-# Tick accounting stays byte-exact: the fused instruction's ``cost`` field is
-# the first constituent's cost (charged by the dispatch preamble as usual) and
-# the remaining constituents' costs ride inside the operand tuple, charged by
-# the handler at exactly the points the unfused stream would have charged
-# them.  So budget exhaustion and script errors interleave identically with
-# the unfused stream (and hence with the tree-walker).
-#
-# Fusion never crosses a jump target or segment boundary: every pc named by a
-# JUMP*-family operand, SETUP_LOOP/SETUP_SWITCH block entry, FORIN_NEXT exit,
-# or EXEC_TRY segment bound is a barrier that may only ever start a group.
-# After fusion every pc-bearing operand is remapped through the old->new pc
-# table.  ``REPRO_ADSCRIPT_FUSION=off`` disables the pass entirely, yielding
-# the byte-identical pre-fusion stream.
-
-_FUSION_ENV = "REPRO_ADSCRIPT_FUSION"
-
-_PUSH_KINDS = {
-    OP_CONST: 0,  # noqa: F821
-    OP_LOAD_LOCAL: 1,  # noqa: F821
-    OP_LOAD_NAME: 2,  # noqa: F821
-    OP_LOAD_LOCAL_SOFT: 3,  # noqa: F821
-    OP_LOAD_NAME_SOFT: 4,  # noqa: F821
-}
-
-# kind integer -> the opcode it stands for (disassembly + tests).
-PUSH_KIND_OPS = (
-    OP_CONST,  # noqa: F821
-    OP_LOAD_LOCAL,  # noqa: F821
-    OP_LOAD_NAME,  # noqa: F821
-    OP_LOAD_LOCAL_SOFT,  # noqa: F821
-    OP_LOAD_NAME_SOFT,  # noqa: F821
-)
-
-_FUSABLE_BINS = frozenset(
-    (
-        OP_BINARY,  # noqa: F821
-        OP_BIN_ADD,  # noqa: F821
-        OP_BIN_SUB,  # noqa: F821
-        OP_BIN_MUL,  # noqa: F821
-        OP_BIN_LT,  # noqa: F821
-        OP_BIN_LE,  # noqa: F821
-        OP_BIN_GT,  # noqa: F821
-        OP_BIN_GE,  # noqa: F821
-        OP_BIN_SEQ,  # noqa: F821
-    )
-)
-
-_STORE_KINDS = {
-    OP_STORE_LOCAL: 0,  # noqa: F821
-    OP_STORE_NAME: 1,  # noqa: F821
-}
-
-# store kind integer -> the opcode it stands for (disassembly + tests).
-STORE_KIND_OPS = (
-    OP_STORE_LOCAL,  # noqa: F821
-    OP_STORE_NAME,  # noqa: F821
-)
-
-_JUMP_OPS = frozenset(
-    (
-        OP_JUMP,  # noqa: F821
-        OP_JUMP_IF_FALSE,  # noqa: F821
-        OP_JUMP_IF_TRUE,  # noqa: F821
-        OP_JUMP_IF_FALSY_KEEP,  # noqa: F821
-        OP_JUMP_IF_TRUTHY_KEEP,  # noqa: F821
-        OP_JUMP_IF_CASE,  # noqa: F821
-    )
-)
-
-
-def fusion_enabled() -> bool:
-    """Whether the superinstruction peephole pass is on (the default)."""
-    value = os.environ.get(_FUSION_ENV, "on").strip().lower()
-    return value not in ("off", "0", "false", "no")
-
-
-def _binop_operand(op: int, arg: Any) -> Any:
-    # Fast binops encode as their opcode integer; generic BINARY as its
-    # operator string.  The VM maps integers back to float-fast helpers.
-    return arg if op == OP_BINARY else op  # noqa: F821
-
-
-def _fuse_stream(ops, args, costs, lines):
-    """Fuse one instruction stream; returns new parallel lists or ``None``
-    when nothing fused (so callers can keep the original CodeObject)."""
-    n = len(ops)
-    barriers = set()
-    for i in range(n):
-        op = ops[i]
-        a = args[i]
-        if op in _JUMP_OPS:
-            barriers.add(a)
-        elif op == OP_SETUP_LOOP:  # noqa: F821
-            barriers.add(a[0])
-            barriers.add(a[1])
-        elif op == OP_SETUP_SWITCH:  # noqa: F821
-            barriers.add(a)
-        elif op == OP_FORIN_NEXT:  # noqa: F821
-            barriers.add(a[0])
-        elif op == OP_EXEC_TRY:  # noqa: F821
-            for bound in (a[0], a[1], a[3], a[4], a[5], a[6]):
-                if bound is not None:
-                    barriers.add(bound)
-    new_ops: list = []
-    new_args: list = []
-    new_costs: list = []
-    new_lines: list = []
-    newpc = [0] * (n + 1)
-    fused_any = False
-    i = 0
-    while i < n:
-        op = ops[i]
-        length = 1
-        fop = None
-        farg = None
-        if op in _PUSH_KINDS:
-            k1 = _PUSH_KINDS[op]
-            o1 = args[i]
-            if (
-                i + 3 < n
-                and i + 1 not in barriers
-                and i + 2 not in barriers
-                and i + 3 not in barriers
-                and ops[i + 1] in _PUSH_KINDS
-                and ops[i + 2] in _FUSABLE_BINS
-                and ops[i + 3] == OP_JUMP_IF_FALSE  # noqa: F821
-            ):
-                length = 4
-                fop = OP_SUPER_PP_CMP_JF  # noqa: F821
-                farg = (
-                    k1,
-                    o1,
-                    costs[i + 1],
-                    _PUSH_KINDS[ops[i + 1]],
-                    args[i + 1],
-                    costs[i + 2],
-                    _binop_operand(ops[i + 2], args[i + 2]),
-                    costs[i + 3],
-                    args[i + 3],
-                )
-            elif (
-                i + 2 < n
-                and i + 1 not in barriers
-                and i + 2 not in barriers
-                and ops[i + 1] in _PUSH_KINDS
-                and ops[i + 2] in _FUSABLE_BINS
-            ):
-                length = 3
-                fop = OP_SUPER_PP_BIN  # noqa: F821
-                farg = (
-                    k1,
-                    o1,
-                    costs[i + 1],
-                    _PUSH_KINDS[ops[i + 1]],
-                    args[i + 1],
-                    costs[i + 2],
-                    _binop_operand(ops[i + 2], args[i + 2]),
-                )
-            elif (
-                i + 2 < n
-                and i + 1 not in barriers
-                and i + 2 not in barriers
-                and ops[i + 1] in _FUSABLE_BINS
-                and ops[i + 2] == OP_JUMP_IF_FALSE  # noqa: F821
-            ):
-                length = 3
-                fop = OP_SUPER_P_CMP_JF  # noqa: F821
-                farg = (
-                    k1,
-                    o1,
-                    costs[i + 1],
-                    _binop_operand(ops[i + 1], args[i + 1]),
-                    costs[i + 2],
-                    args[i + 2],
-                )
-            elif (
-                i + 1 < n
-                and i + 1 not in barriers
-                and ops[i + 1] in _FUSABLE_BINS
-            ):
-                length = 2
-                fop = OP_SUPER_P_BIN  # noqa: F821
-                farg = (
-                    k1,
-                    o1,
-                    costs[i + 1],
-                    _binop_operand(ops[i + 1], args[i + 1]),
-                )
-        elif op in _FUSABLE_BINS:
-            if (
-                i + 1 < n
-                and i + 1 not in barriers
-                and ops[i + 1] == OP_JUMP_IF_FALSE  # noqa: F821
-            ):
-                length = 2
-                fop = OP_SUPER_CMP_JF  # noqa: F821
-                farg = (
-                    _binop_operand(op, args[i]),
-                    costs[i + 1],
-                    args[i + 1],
-                )
-        elif op == OP_DUP:  # noqa: F821
-            if (
-                i + 2 < n
-                and i + 1 not in barriers
-                and i + 2 not in barriers
-                and ops[i + 1] in _STORE_KINDS
-                and ops[i + 2] == OP_POP  # noqa: F821
-            ):
-                length = 3
-                fop = OP_SUPER_DUP_STORE_POP  # noqa: F821
-                farg = (
-                    _STORE_KINDS[ops[i + 1]],
-                    args[i + 1],
-                    costs[i + 1],
-                    costs[i + 2],
-                )
-        elif op in _STORE_KINDS:
-            if (
-                i + 1 < n
-                and i + 1 not in barriers
-                and ops[i + 1] == OP_POP  # noqa: F821
-            ):
-                length = 2
-                fop = OP_SUPER_STORE_POP  # noqa: F821
-                farg = (
-                    _STORE_KINDS[op],
-                    args[i],
-                    costs[i + 1],
-                )
-        new_index = len(new_ops)
-        for j in range(i, i + length):
-            newpc[j] = new_index
-        if length == 1:
-            new_ops.append(op)
-            new_args.append(args[i])
-        else:
-            fused_any = True
-            new_ops.append(fop)
-            new_args.append(farg)
-        new_costs.append(costs[i])
-        new_lines.append(lines[i])
-        i += length
-    newpc[n] = len(new_ops)
-    if not fused_any:
-        return None
-    for idx in range(len(new_ops)):
-        op = new_ops[idx]
-        a = new_args[idx]
-        if op in _JUMP_OPS or op == OP_SETUP_SWITCH:  # noqa: F821
-            new_args[idx] = newpc[a]
-        elif op == OP_SETUP_LOOP:  # noqa: F821
-            new_args[idx] = (newpc[a[0]], newpc[a[1]])
-        elif op == OP_FORIN_NEXT:  # noqa: F821
-            new_args[idx] = (newpc[a[0]], a[1])
-        elif op == OP_EXEC_TRY:  # noqa: F821
-            t0, t1, catch_param, c0, c1, f0, f1 = a
-            new_args[idx] = (
-                newpc[t0] if t0 is not None else None,
-                newpc[t1] if t1 is not None else None,
-                catch_param,
-                newpc[c0] if c0 is not None else None,
-                newpc[c1] if c1 is not None else None,
-                newpc[f0] if f0 is not None else None,
-                newpc[f1] if f1 is not None else None,
-            )
-        elif op == OP_SUPER_CMP_JF:  # noqa: F821
-            new_args[idx] = (a[0], a[1], newpc[a[2]])
-        elif op == OP_SUPER_P_CMP_JF:  # noqa: F821
-            new_args[idx] = (a[0], a[1], a[2], a[3], a[4], newpc[a[5]])
-        elif op == OP_SUPER_PP_CMP_JF:  # noqa: F821
-            new_args[idx] = (
-                a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], newpc[a[8]],
-            )
-    return new_ops, new_args, new_costs, new_lines
-
-
-def _fuse_code_object(code: CodeObject) -> CodeObject:
-    fused = _fuse_stream(code.ops, code.args, code.costs, code.lines)
-    if fused is None:
-        return code
-    new_ops, new_args, new_costs, new_lines = fused
-    return CodeObject(
-        name=code.name,
-        kind=code.kind,
-        ops=tuple(new_ops),
-        args=tuple(new_args),
-        costs=tuple(new_costs),
-        lines=tuple(new_lines),
-        slot_names=code.slot_names,
-        param_slots=code.param_slots,
-        hoisted=code.hoisted,
-    )
-
-
-def _each_meta(code: CodeObject, visit) -> None:
-    for arg in code.args:
-        if isinstance(arg, FunctionMeta):
-            visit(arg)
-        elif isinstance(arg, tuple):
-            for item in arg:
-                if isinstance(item, FunctionMeta):
-                    visit(item)
-    for _name, meta in code.hoisted:
-        visit(meta)
-
-
-def fuse_code(code: CodeObject) -> CodeObject:
-    """Apply superinstruction fusion to ``code`` and every function inside it.
-
-    FunctionMetas are freshly built per compile, so rebinding ``meta.code`` in
-    place here (before the CodeObject is published to any cache) is safe.
-    """
-    seen: set = set()
-    pending: list = []
-
-    def visit(meta: FunctionMeta) -> None:
-        if id(meta) not in seen:
-            seen.add(id(meta))
-            pending.append(meta)
-
-    root = _fuse_code_object(code)
-    _each_meta(root, visit)
-    while pending:
-        meta = pending.pop()
-        meta.code = _fuse_code_object(meta.code)
-        _each_meta(meta.code, visit)
-    return root
-
-
 # -- entry points --------------------------------------------------------------
 
 
@@ -1362,12 +990,8 @@ def compile_function_code(name, params, body) -> CodeObject:
     return compiler.finish(name or "<anonymous>", hoisted=hoisted)
 
 
-def compile_ast(program: ast.Program, fuse: Optional[bool] = None) -> CodeObject:
-    """Compile a (typically frozen) Program AST to a CodeObject.
-
-    ``fuse`` overrides the ``REPRO_ADSCRIPT_FUSION`` default; ``False`` yields
-    the raw pre-fusion stream (``repro-study disasm --raw``).
-    """
+def compile_ast(program: ast.Program) -> CodeObject:
+    """Compile a (typically frozen) Program AST to a CodeObject."""
     compiler = Compiler("program")
     hoisted = tuple(
         (s.name, compiler._function_meta(s, named=False))
@@ -1377,10 +1001,7 @@ def compile_ast(program: ast.Program, fuse: Optional[bool] = None) -> CodeObject
     for statement in program.body:
         compiler.stmt(statement, toplevel=True)
     compiler.flush()
-    code = compiler.finish("<program>", hoisted=hoisted)
-    if fusion_enabled() if fuse is None else fuse:
-        code = fuse_code(code)
-    return code
+    return compiler.finish("<program>", hoisted=hoisted)
 
 
 # Hash-addressed compile cache: sha256(source) -> CodeObject, the same key the
@@ -1391,18 +1012,11 @@ def compile_ast(program: ast.Program, fuse: Optional[bool] = None) -> CodeObject
 _BYTECODE_CACHE = LruCache("adscript_bytecode", capacity=4096)
 
 
-def compile_source(source: str, fuse: Optional[bool] = None) -> CodeObject:
-    fused = fusion_enabled() if fuse is None else fuse
-    # The fusion flag is part of the cache key so flipping
-    # REPRO_ADSCRIPT_FUSION mid-process (differential tests) can never serve
-    # a stream compiled under the other setting.
-    key = (
-        hashlib.sha256(source.encode("utf-8", "backslashreplace")).digest(),
-        fused,
-    )
+def compile_source(source: str) -> CodeObject:
+    key = hashlib.sha256(source.encode("utf-8", "backslashreplace")).digest()
     code = _BYTECODE_CACHE.get(key)
     if code is None:
-        code = compile_ast(compile_program(source), fuse=fused)
+        code = compile_ast(compile_program(source))
         _BYTECODE_CACHE.put(key, code)
     return code
 
@@ -1418,83 +1032,8 @@ def _format_operand(arg: Any) -> str:
     return repr(arg)
 
 
-def _format_push(kind: int, operand: Any) -> str:
-    return f"{OP_NAMES[PUSH_KIND_OPS[kind]]} {_format_operand(operand)}"
-
-
-def _format_bin(binop: Any) -> str:
-    if isinstance(binop, str):
-        return f"BINARY {binop!r}"
-    return OP_NAMES[binop]
-
-
-def _format_super(op: int, arg: tuple, cost: int) -> str:
-    """Annotate a superinstruction with its constituents + summed tick cost."""
-    if op == OP_SUPER_PP_BIN:  # noqa: F821
-        k1, o1, c2, k2, o2, c3, binop = arg
-        parts = [_format_push(k1, o1), _format_push(k2, o2), _format_bin(binop)]
-        ticks = cost + c2 + c3
-    elif op == OP_SUPER_P_BIN:  # noqa: F821
-        k1, o1, c2, binop = arg
-        parts = [_format_push(k1, o1), _format_bin(binop)]
-        ticks = cost + c2
-    elif op == OP_SUPER_CMP_JF:  # noqa: F821
-        binop, c2, target = arg
-        parts = [_format_bin(binop), f"JUMP_IF_FALSE {target}"]
-        ticks = cost + c2
-    elif op == OP_SUPER_P_CMP_JF:  # noqa: F821
-        k1, o1, c2, binop, c3, target = arg
-        parts = [
-            _format_push(k1, o1),
-            _format_bin(binop),
-            f"JUMP_IF_FALSE {target}",
-        ]
-        ticks = cost + c2 + c3
-    elif op == OP_SUPER_DUP_STORE_POP:  # noqa: F821
-        sk, so, c2, c3 = arg
-        parts = [
-            "DUP",
-            f"{OP_NAMES[STORE_KIND_OPS[sk]]} {_format_operand(so)}",
-            "POP",
-        ]
-        ticks = cost + c2 + c3
-    elif op == OP_SUPER_STORE_POP:  # noqa: F821
-        sk, so, c2 = arg
-        parts = [f"{OP_NAMES[STORE_KIND_OPS[sk]]} {_format_operand(so)}", "POP"]
-        ticks = cost + c2
-    else:  # OP_SUPER_PP_CMP_JF
-        k1, o1, c2, k2, o2, c3, binop, c4, target = arg
-        parts = [
-            _format_push(k1, o1),
-            _format_push(k2, o2),
-            _format_bin(binop),
-            f"JUMP_IF_FALSE {target}",
-        ]
-        ticks = cost + c2 + c3 + c4
-    return "{" + "; ".join(p.rstrip() for p in parts) + f"}} ticks={ticks}"
-
-
-_SUPER_OPS = frozenset(
-    (
-        OP_SUPER_PP_BIN,  # noqa: F821
-        OP_SUPER_P_BIN,  # noqa: F821
-        OP_SUPER_CMP_JF,  # noqa: F821
-        OP_SUPER_P_CMP_JF,  # noqa: F821
-        OP_SUPER_PP_CMP_JF,  # noqa: F821
-        OP_SUPER_DUP_STORE_POP,  # noqa: F821
-        OP_SUPER_STORE_POP,  # noqa: F821
-    )
-)
-
-_IC_SITE_OPS = frozenset((OP_GET_MEMBER, OP_GET_METHOD))  # noqa: F821
-
-
 def disassemble(code: CodeObject) -> str:
-    """Human-readable listing of ``code`` and every function it contains.
-
-    Superinstructions are annotated with their constituent ops and summed
-    tick cost; GET_MEMBER/GET_METHOD lines are tagged as inline-cache sites.
-    """
+    """Human-readable listing of ``code`` and every function it contains."""
     out: list = []
     seen: set = set()
     queue = [code]
@@ -1507,14 +1046,9 @@ def disassemble(code: CodeObject) -> str:
         out.append(f"== {current.kind} {current.name} (slots: {slots})")
         for i, op in enumerate(current.ops):
             arg = current.args[i]
-            if op in _SUPER_OPS:
-                operand = _format_super(op, arg, current.costs[i])
-            else:
-                operand = _format_operand(arg)
-            suffix = "  [ic-site]" if op in _IC_SITE_OPS else ""
             out.append(
-                f"{i:5d}  {OP_NAMES[op]:<20} {operand:<32}"
-                f" cost={current.costs[i]} line={current.lines[i]}{suffix}"
+                f"{i:5d}  {OP_NAMES[op]:<20} {_format_operand(arg):<32}"
+                f" cost={current.costs[i]} line={current.lines[i]}"
             )
             if isinstance(arg, FunctionMeta):
                 queue.append(arg.code)

@@ -336,9 +336,6 @@ class _MathObject(HostObject):
             "PI": math.pi,
             "E": math.e,
         }
-        # Members are prebuilt and never mutated: identity-stable reads, so
-        # the VM may inline-cache lookups on this host.
-        self.publish_member_shape()
 
     def _random(self, *args: Any) -> float:
         return self._interp.host_random()
@@ -358,7 +355,6 @@ class _StringConstructor(HostObject):
             "fromCharCode",
             lambda *a: "".join(chr(int(to_js_number(c)) & 0xFFFF) for c in a),
         )
-        self.publish_member_shape()  # single prebuilt member, never mutated
 
     def get_member(self, name: str) -> Any:
         if name == "fromCharCode":
@@ -470,9 +466,8 @@ class RegExpObject(HostObject):
         except RegexSyntaxError as exc:
             raise _Err(f"invalid RegExp: {exc}") from exc
         # The compiled regex is immutable, so members memoize on first read
-        # (identity-stable bound methods) and the host can publish a shape.
+        # (identity-stable bound methods).
         self._members: dict = {}
-        self.publish_member_shape()
 
     def _exec(self, *args: Any) -> Any:
         text = to_js_string(args[0]) if args else "undefined"
@@ -541,9 +536,8 @@ class _DateObject(HostObject):
         self.timestamp_ms = float(timestamp_ms)
         # The timestamp is fixed at construction, so accessors memoize on
         # first read (lazily: most Dates are cache-busters that touch one or
-        # two members) and the host publishes a shape for the VM's ICs.
+        # two members).
         self._members: dict = {}
-        self.publish_member_shape()
 
     def get_member(self, name: str) -> Any:
         value = self._members.get(name)
@@ -588,7 +582,6 @@ class _DateConstructor(HostObject):
     def __init__(self, interp: "Interpreter") -> None:
         self._interp = interp
         self._now = NativeFunction("now", lambda *a: float(interp.host_time()))
-        self.publish_member_shape()  # single prebuilt static member
 
     def __call__(self, *args: Any) -> Any:
         if args:
@@ -662,7 +655,6 @@ class _JsonObject(HostObject):
                 "parse", lambda *a: _json_parse(to_js_string(a[0])) if a else UNDEFINED
             ),
         }
-        self.publish_member_shape()  # prebuilt members, never mutated
 
     def get_member(self, name: str) -> Any:
         return self._members.get(name, UNDEFINED)

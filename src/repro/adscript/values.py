@@ -103,19 +103,6 @@ class HostObject:
 
     host_name = "HostObject"
 
-    # Inline-cache opt-in: a token identifying the host's current member
-    # layout.  ``None`` (the default) means *not cacheable* — the VM calls
-    # ``get_member`` on every read, preserving observable member traffic for
-    # probe/trace hosts.  A host may publish a shape ONLY if ``get_member``
-    # is side-effect-free and returns identity-stable values for a given
-    # layout; it must call :meth:`publish_member_shape` again after any
-    # member mutation so cached entries die with the old token.
-    _member_shape = None
-
-    def publish_member_shape(self) -> None:
-        """Publish (or rotate, after a mutation) this host's shape token."""
-        self._member_shape = object()
-
     def get_member(self, name: str) -> Any:
         return UNDEFINED
 

@@ -56,8 +56,6 @@ from repro.adscript.values import (
     to_js_number,
     to_js_string,
 )
-from repro.util import lru as _lru
-from repro.util.lru import LruCache
 
 # Slot value for a local whose ``var`` has not executed yet: reads fall back
 # to the environment chain, exactly like the tree-walker's name lookup.
@@ -66,141 +64,12 @@ _UNBOUND = object()
 # Sentinel distinguishing "ran off the end" from an explicit RETURN_VALUE.
 _NO_RETURN = object()
 
-# Sentinel distinguishing "no inline-cache entry" from a cached UNDEFINED.
-_IC_MISS = object()
-
 _ALL_OPS = tuple(getattr(_bc, "OP_" + name) for name in _bc.OP_NAMES)
 
 
-# -- hot-path counters ---------------------------------------------------------
-
-
-class _HotpathCounters:
-    """Process-wide superinstruction execution count.
-
-    Plain unlocked increments: under the GIL a racing increment can at worst
-    lose a tick of telemetry, never corrupt state, and the dispatch loop
-    cannot afford a lock per instruction.
-    """
-
-    __slots__ = ("superinstructions",)
-
-    def __init__(self) -> None:
-        self.superinstructions = 0
-
-
-_HOT = _HotpathCounters()
-
-# Registered stats carrier for the per-site member inline caches.  The IC
-# entries themselves live on each CodeObject (``code.ics``) — this LruCache
-# holds no data and exists so the hit/miss counters surface through the same
-# ``compile_cache_*`` stats plumbing (and serve report) as the AST/bytecode
-# caches.  The dispatch loop bumps ``_hits``/``_misses`` directly; taking the
-# cache lock per member read would cost more than the cache saves.
-_IC_STATS = LruCache("adscript_ic", capacity=4)
-
-
 def hotpath_stats() -> dict:
-    """Counters for the fused-dispatch + inline-cache warm path."""
-    return {
-        "superinstructions_executed": _HOT.superinstructions,
-        "ic_hits": _IC_STATS._hits,
-        "ic_misses": _IC_STATS._misses,
-    }
-
-
-# -- fused binary helpers ------------------------------------------------------
-#
-# Superinstruction operands encode fast binops as their opcode integer and
-# generic BINARY as its operator string.  Each integer maps to a helper that
-# replicates the unfused handler exactly: float fast path, ``binary_op``
-# fallback, and ``js_strict_equals`` for BIN_SEQ (which has no float path in
-# the unfused stream either).
-
-
-def _fb_add(left, right):
-    if type(left) is float and type(right) is float:
-        return left + right
-    return binary_op("+", left, right)
-
-
-def _fb_sub(left, right):
-    if type(left) is float and type(right) is float:
-        return left - right
-    return binary_op("-", left, right)
-
-
-def _fb_mul(left, right):
-    if type(left) is float and type(right) is float:
-        return left * right
-    return binary_op("*", left, right)
-
-
-def _fb_lt(left, right):
-    if type(left) is float and type(right) is float:
-        return left < right
-    return binary_op("<", left, right)
-
-
-def _fb_le(left, right):
-    if type(left) is float and type(right) is float:
-        return left <= right
-    return binary_op("<=", left, right)
-
-
-def _fb_gt(left, right):
-    if type(left) is float and type(right) is float:
-        return left > right
-    return binary_op(">", left, right)
-
-
-def _fb_ge(left, right):
-    if type(left) is float and type(right) is float:
-        return left >= right
-    return binary_op(">=", left, right)
-
-
-_FUSED_BIN_FNS = {
-    _bc.OP_BIN_ADD: _fb_add,
-    _bc.OP_BIN_SUB: _fb_sub,
-    _bc.OP_BIN_MUL: _fb_mul,
-    _bc.OP_BIN_LT: _fb_lt,
-    _bc.OP_BIN_LE: _fb_le,
-    _bc.OP_BIN_GT: _fb_gt,
-    _bc.OP_BIN_GE: _fb_ge,
-    _bc.OP_BIN_SEQ: js_strict_equals,
-}
-
-# List-indexed variant for the dispatch loop: a fused binop operand is
-# either one of the fast opcode ints above (table hit) or the generic
-# operator string (``binary_op`` path) — ``type(binop) is int`` picks.
-_FUSED_BIN_TABLE: list = [None] * (max(_FUSED_BIN_FNS) + 1)
-for _op, _fn in _FUSED_BIN_FNS.items():
-    _FUSED_BIN_TABLE[_op] = _fn
-del _op, _fn
-
-
-def _push_value(kind, operand, slots, env, slot_names):
-    """Resolve one fused "push" constituent; replicates the corresponding
-    CONST/LOAD_LOCAL/LOAD_NAME(-SOFT) handler exactly, including unbound-slot
-    fallback and lookup errors."""
-    if kind == 0:  # CONST
-        return operand
-    if kind == 1:  # LOAD_LOCAL
-        value = slots[operand]
-        if value is _UNBOUND:
-            value = env.lookup(slot_names[operand])
-        return value
-    if kind == 2:  # LOAD_NAME
-        return env.lookup(operand)
-    if kind == 3:  # LOAD_LOCAL_SOFT
-        value = slots[operand]
-        if value is _UNBOUND:
-            name = slot_names[operand]
-            value = env.lookup(name) if env.has(name) else UNDEFINED
-        return value
-    # LOAD_NAME_SOFT
-    return env.lookup(operand) if env.has(operand) else UNDEFINED
+    """Always empty; kept only because ``perfbench/workloads.py`` imports it."""
+    return {}
 
 
 class Frame:
@@ -263,12 +132,8 @@ def _call_compiled(interp, fn: JSFunction, args: list, this: Any) -> Any:
     code = fn.code
     if code is None:
         # Function created by the tree engine (or deserialized): compile on
-        # demand and cache on the instance.  Fusion applies here too so
-        # cross-engine functions run the same superinstruction stream as
-        # natively compiled ones.
+        # demand and cache on the instance.
         code = compile_function_code(fn.name, fn.params, fn.body)
-        if _bc.fusion_enabled():
-            code = _bc.fuse_code(code)
         fn.code = code
     env = Environment(fn.closure)
     frame = Frame(env)
@@ -327,10 +192,6 @@ def run_range(interp, frame: Frame, code, pc: int, end: int, depth: int) -> Any:
         SETUP_LOOP, SETUP_SWITCH, POP_BLOCK,
         FORIN_PREP, FORIN_DECLARE, FORIN_NEXT,
         EXEC_TRY,
-        SUPER_PP_BIN, SUPER_P_BIN, SUPER_CMP_JF, SUPER_P_CMP_JF,
-        SUPER_PP_CMP_JF,
-        SUPER_DUP_STORE_POP,
-        SUPER_STORE_POP,
     ) = _ALL_OPS
     ops = code.ops
     argv = code.args
@@ -340,12 +201,6 @@ def run_range(interp, frame: Frame, code, pc: int, end: int, depth: int) -> Any:
     env = frame.env  # catch segments get their own dispatch call, so this
     slots = frame.slots  # stays valid for the whole invocation
     slot_names = code.slot_names
-    hot = _HOT
-    ic_stats = _IC_STATS
-    bin_table = _FUSED_BIN_TABLE
-    # Sampled once per dispatch invocation: the differential harnesses flip
-    # the switch between runs, never mid-run.
-    ic_on = _lru._ENABLED
     while True:
         try:
             while pc < end:
@@ -369,200 +224,6 @@ def run_range(interp, frame: Frame, code, pc: int, end: int, depth: int) -> Any:
                     stack.append(value)
                 elif op == LOAD_NAME:
                     stack.append(env.lookup(arg))
-                # Superinstructions sit early in the chain: in fused streams
-                # they replace most of the cheap ops that would otherwise
-                # dominate dispatch.  Constituent costs beyond the first are
-                # charged inside the handler at exactly the unfused points,
-                # so budget exhaustion and script errors interleave
-                # identically with the unfused stream.  Push resolution and
-                # budget charges are inlined for the common kinds — every
-                # Python call saved here is the whole point of fusing.
-                elif op == SUPER_PP_CMP_JF:
-                    k1, o1, c2, k2, o2, c3, binop, c4, target = arg
-                    hot.superinstructions += 1
-                    if k1 == 2:
-                        v1 = env.lookup(o1)
-                    elif k1 == 0:
-                        v1 = o1
-                    elif k1 == 1:
-                        v1 = slots[o1]
-                        if v1 is _UNBOUND:
-                            v1 = env.lookup(slot_names[o1])
-                    else:
-                        v1 = _push_value(k1, o1, slots, env, slot_names)
-                    if c2:
-                        steps = interp.steps + c2
-                        interp.steps = steps
-                        if steps > interp.step_budget:
-                            raise BudgetExceededError(
-                                f"exceeded {interp.step_budget} "
-                                f"execution steps")
-                    if k2 == 0:
-                        v2 = o2
-                    elif k2 == 2:
-                        v2 = env.lookup(o2)
-                    elif k2 == 1:
-                        v2 = slots[o2]
-                        if v2 is _UNBOUND:
-                            v2 = env.lookup(slot_names[o2])
-                    else:
-                        v2 = _push_value(k2, o2, slots, env, slot_names)
-                    if c3:
-                        _charge(interp, c3)
-                    res = (
-                        bin_table[binop](v1, v2)
-                        if type(binop) is int
-                        else binary_op(binop, v1, v2)
-                    )
-                    if c4:
-                        _charge(interp, c4)
-                    if not js_truthy(res):
-                        pc = target
-                elif op == SUPER_PP_BIN:
-                    k1, o1, c2, k2, o2, c3, binop = arg
-                    hot.superinstructions += 1
-                    if k1 == 2:
-                        v1 = env.lookup(o1)
-                    elif k1 == 0:
-                        v1 = o1
-                    elif k1 == 1:
-                        v1 = slots[o1]
-                        if v1 is _UNBOUND:
-                            v1 = env.lookup(slot_names[o1])
-                    else:
-                        v1 = _push_value(k1, o1, slots, env, slot_names)
-                    if c2:
-                        steps = interp.steps + c2
-                        interp.steps = steps
-                        if steps > interp.step_budget:
-                            raise BudgetExceededError(
-                                f"exceeded {interp.step_budget} "
-                                f"execution steps")
-                    if k2 == 0:
-                        v2 = o2
-                    elif k2 == 2:
-                        v2 = env.lookup(o2)
-                    elif k2 == 1:
-                        v2 = slots[o2]
-                        if v2 is _UNBOUND:
-                            v2 = env.lookup(slot_names[o2])
-                    else:
-                        v2 = _push_value(k2, o2, slots, env, slot_names)
-                    if c3:
-                        _charge(interp, c3)
-                    stack.append(
-                        bin_table[binop](v1, v2)
-                        if type(binop) is int
-                        else binary_op(binop, v1, v2)
-                    )
-                elif op == SUPER_P_BIN:
-                    k1, o1, c2, binop = arg
-                    hot.superinstructions += 1
-                    if k1 == 0:
-                        v2 = o1
-                    elif k1 == 2:
-                        v2 = env.lookup(o1)
-                    elif k1 == 1:
-                        v2 = slots[o1]
-                        if v2 is _UNBOUND:
-                            v2 = env.lookup(slot_names[o1])
-                    else:
-                        v2 = _push_value(k1, o1, slots, env, slot_names)
-                    if c2:
-                        steps = interp.steps + c2
-                        interp.steps = steps
-                        if steps > interp.step_budget:
-                            raise BudgetExceededError(
-                                f"exceeded {interp.step_budget} "
-                                f"execution steps")
-                    left = stack[-1]
-                    stack[-1] = (
-                        bin_table[binop](left, v2)
-                        if type(binop) is int
-                        else binary_op(binop, left, v2)
-                    )
-                elif op == SUPER_P_CMP_JF:
-                    k1, o1, c2, binop, c3, target = arg
-                    hot.superinstructions += 1
-                    if k1 == 0:
-                        v2 = o1
-                    elif k1 == 2:
-                        v2 = env.lookup(o1)
-                    elif k1 == 1:
-                        v2 = slots[o1]
-                        if v2 is _UNBOUND:
-                            v2 = env.lookup(slot_names[o1])
-                    else:
-                        v2 = _push_value(k1, o1, slots, env, slot_names)
-                    if c2:
-                        steps = interp.steps + c2
-                        interp.steps = steps
-                        if steps > interp.step_budget:
-                            raise BudgetExceededError(
-                                f"exceeded {interp.step_budget} "
-                                f"execution steps")
-                    left = stack.pop()
-                    res = (
-                        bin_table[binop](left, v2)
-                        if type(binop) is int
-                        else binary_op(binop, left, v2)
-                    )
-                    if c3:
-                        _charge(interp, c3)
-                    if not js_truthy(res):
-                        pc = target
-                elif op == SUPER_CMP_JF:
-                    binop, c2, target = arg
-                    hot.superinstructions += 1
-                    right = stack.pop()
-                    left = stack.pop()
-                    res = (
-                        bin_table[binop](left, right)
-                        if type(binop) is int
-                        else binary_op(binop, left, right)
-                    )
-                    if c2:
-                        _charge(interp, c2)
-                    if not js_truthy(res):
-                        pc = target
-                elif op == SUPER_DUP_STORE_POP:
-                    sk, so, c2, c3 = arg
-                    hot.superinstructions += 1
-                    if c2:
-                        interp.steps += c2
-                        if interp.steps > interp.step_budget:
-                            raise BudgetExceededError(
-                                f"exceeded {interp.step_budget} "
-                                f"execution steps")
-                    # Store stack[-1] without popping: the unfused DUP has
-                    # already duplicated by the time STORE_* runs, so the
-                    # original value must still be on the stack if the
-                    # store's charge (c2) raised.
-                    v = stack[-1]
-                    if sk == 0:
-                        if slots[so] is _UNBOUND:
-                            env.assign(slot_names[so], v)
-                        else:
-                            slots[so] = v
-                    else:
-                        env.assign(so, v)
-                    if c3:
-                        _charge(interp, c3)
-                    stack.pop()
-                elif op == SUPER_STORE_POP:
-                    sk, so, c2 = arg
-                    hot.superinstructions += 1
-                    v = stack.pop()
-                    if sk == 0:
-                        if slots[so] is _UNBOUND:
-                            env.assign(slot_names[so], v)
-                        else:
-                            slots[so] = v
-                    else:
-                        env.assign(so, v)
-                    if c2:
-                        _charge(interp, c2)
-                    stack.pop()
                 elif op == BIN_ADD:
                     right = stack.pop()
                     left = stack[-1]
@@ -592,35 +253,7 @@ def run_range(interp, frame: Frame, code, pc: int, end: int, depth: int) -> Any:
                 elif op == GET_MEMBER:
                     obj = stack[-1]
                     if isinstance(obj, HostObject):
-                        # Per-site polymorphic inline cache, keyed by the
-                        # host's published shape token.  Hosts that publish
-                        # no shape (the default — anything whose member
-                        # traffic is observable or whose members are built
-                        # fresh per read) always take the real lookup.
-                        shape = obj._member_shape
-                        if shape is not None and ic_on:
-                            ics = code.ics
-                            if ics is None:
-                                ics = code.ics = [None] * len(ops)
-                            site = pc - 1
-                            entries = ics[site]
-                            value = _IC_MISS
-                            if entries is not None:
-                                for s, v in entries:
-                                    if s is shape:
-                                        value = v
-                                        break
-                            if value is _IC_MISS:
-                                value = obj.get_member(arg)
-                                ics[site] = ((shape, value),) + (
-                                    entries[:3] if entries else ()
-                                )
-                                ic_stats._misses += 1
-                            else:
-                                ic_stats._hits += 1
-                            stack[-1] = value
-                        else:
-                            stack[-1] = obj.get_member(arg)
+                        stack[-1] = obj.get_member(arg)
                     else:
                         stack[-1] = get_member(interp, obj, arg)
                 elif op == CALL_METHOD:
@@ -782,32 +415,7 @@ def run_range(interp, frame: Frame, code, pc: int, end: int, depth: int) -> Any:
                 elif op == GET_METHOD:
                     this = stack[-1]
                     if isinstance(this, HostObject):
-                        # Same shape-keyed inline cache as GET_MEMBER; method
-                        # loads on immutable stdlib hosts (Math.floor, ...)
-                        # are the hottest member sites in real creatives.
-                        shape = this._member_shape
-                        if shape is not None and ic_on:
-                            ics = code.ics
-                            if ics is None:
-                                ics = code.ics = [None] * len(ops)
-                            site = pc - 1
-                            entries = ics[site]
-                            fn = _IC_MISS
-                            if entries is not None:
-                                for s, v in entries:
-                                    if s is shape:
-                                        fn = v
-                                        break
-                            if fn is _IC_MISS:
-                                fn = this.get_member(arg)
-                                ics[site] = ((shape, fn),) + (
-                                    entries[:3] if entries else ()
-                                )
-                                ic_stats._misses += 1
-                            else:
-                                ic_stats._hits += 1
-                        else:
-                            fn = this.get_member(arg)
+                        fn = this.get_member(arg)
                     else:
                         fn = get_member(interp, this, arg)
                     if fn is UNDEFINED:

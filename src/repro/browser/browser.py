@@ -332,6 +332,11 @@ class Browser:
                        value=to_js_string(signal.value)[:100])
         except AdScriptError as exc:
             ctx.record(ev.SCRIPT_ERROR, error=type(exc).__name__, message=str(exc)[:200])
+        except RecursionError:
+            # Runaway recursion or absurd nesting exhausted the Python stack.
+            # Where that happens depends on the engine and the caller's stack
+            # depth, so the event carries no message and is the same on both.
+            ctx.record(ev.SCRIPT_ERROR, error="recursion_limit")
 
     def _run_callback(self, ctx: _FrameContext, callback: Any) -> None:
         try:
@@ -343,6 +348,8 @@ class Browser:
             ctx.record(ev.SCRIPT_ERROR, error="budget_exceeded")
         except AdScriptError as exc:
             ctx.record(ev.SCRIPT_ERROR, error=type(exc).__name__, message=str(exc)[:200])
+        except RecursionError:
+            ctx.record(ev.SCRIPT_ERROR, error="recursion_limit")
 
     # -- resources ---------------------------------------------------------------
 

@@ -199,7 +199,7 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
         print(f"disasm: cannot read {args.script}: {exc}")
         return 1
     try:
-        code = compile_source(source, fuse=not args.raw)
+        code = compile_source(source)
     except AdScriptError as exc:
         print(f"disasm: {type(exc).__name__}: {exc}")
         return 1
@@ -464,17 +464,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"compile cache:  {cache_name} {cc['hits']}/{lookups} hits "
                   f"(hit rate {cc['hit_rate']:.1%}, "
                   f"size {cc['size']}/{cc['capacity']})")
-        hotpath = stats.get("vm_hotpath", {})
-        if any(hotpath.values()):
-            ic_lookups = hotpath.get("ic_hits", 0) + hotpath.get(
-                "ic_misses", 0)
-            ic_rate = (hotpath.get("ic_hits", 0) / ic_lookups
-                       if ic_lookups else 0.0)
-            print(f"vm hot path:    "
-                  f"{hotpath.get('superinstructions_executed', 0)} "
-                  f"superinstructions, {hotpath.get('ic_hits', 0)}/"
-                  f"{ic_lookups} inline-cache hits "
-                  f"(hit rate {ic_rate:.1%})")
         print(f"coalesced:      {counters.get('coalesced', 0)}")
         print(f"rejected:       {counters.get('rejected', 0)}")
         print(f"batch size:     mean {batch.get('mean', 0.0):.1f} "
@@ -643,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         "disasm", help="compile an AdScript file and print its bytecode")
     disasm.add_argument("script", metavar="FILE.js",
                         help="AdScript source file to disassemble")
-    disasm.add_argument("--raw", action="store_true",
-                        help="show the pre-fusion stream (no "
-                             "superinstructions)")
     disasm.set_defaults(fn=_cmd_disasm)
 
     serve = sub.add_parser(

@@ -32,7 +32,6 @@ from repro.service.breaker import DeadLetterLog
 from repro.service.cache import VerdictCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.queue import IngestQueue, QueueClosedError, QueueFullError
-from repro.adscript.vm import hotpath_stats
 from repro.service.workers import OracleWorkerPool, ScanFaultHook, ScanTask
 from repro.store import StoreConfig, StoreWriteError, VerdictStore
 from repro.util import lru
@@ -300,9 +299,6 @@ class ScanService:
         for name, stats in lru.cache_stats().items():
             for kind in ("hits", "misses"):
                 self._compile_cache_baseline[(name, kind)] = stats[kind]
-        # VM hot-path counters (superinstructions, inline caches) are
-        # process-wide too; same delta treatment.
-        self._vm_hotpath_baseline = dict(hotpath_stats())
         self._pending: dict[str, _PendingScan] = {}
         # Cross-shard first-sight dedup: content hash -> the winning
         # sighting.  First submit wins; every later sighting of the same
@@ -616,9 +612,6 @@ class ScanService:
         compile_caches = self._sync_compile_cache_metrics()
         snapshot = self.metrics.snapshot()
         snapshot["compile_caches"] = compile_caches
-        snapshot["vm_hotpath"] = {
-            key: value - self._vm_hotpath_baseline.get(key, 0)
-            for key, value in hotpath_stats().items()}
         snapshot["cache"] = self.cache.stats()
         snapshot["queue"] = self.queue.stats()
         snapshot["batcher"] = self.batcher.stats()

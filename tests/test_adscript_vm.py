@@ -14,7 +14,9 @@ The VM's contract is bit-for-bit observable equivalence (DESIGN §13):
   with ``REPRO_ADSCRIPT_VM`` flipping engines and no call-site changes.
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -31,7 +33,12 @@ from repro.adscript.errors import (
 )
 from repro.adscript.interpreter import Environment, Interpreter
 from repro.adscript.parser import parse_program
-from repro.adscript.values import NativeFunction, UNDEFINED, to_js_string
+from repro.adscript.values import (
+    HostObject,
+    NativeFunction,
+    UNDEFINED,
+    to_js_string,
+)
 from repro.core.persistence import corpus_fingerprint, verdict_fingerprint
 from repro.core.study import Study, StudyConfig
 from repro.crawler.parallel import fork_available
@@ -379,6 +386,70 @@ class TestEngineRouting:
         vm = Interpreter(engine="bytecode")
         assert vm.call_function(fn, [4.0]) == 8.0
         assert fn.code is not None  # cached on the instance
+
+
+class CountingHost(HostObject):
+    """Host whose member reads are observable."""
+
+    host_name = "CountingHost"
+
+    def __init__(self, **members):
+        self.members = dict(members)
+        self.reads = 0
+
+    def get_member(self, name):
+        self.reads += 1
+        return self.members.get(name, UNDEFINED)
+
+    def set_member(self, name, value):
+        self.members[name] = value
+
+
+MEMBER_READ_SCRIPT = """
+var a = 0;
+for (var i = 0; i < 50; i++) { a = a + h.x; }
+h.x = 5;
+var b = 0;
+for (var i = 0; i < 50; i++) { b = b + h.x; }
+a + ":" + b;
+"""
+
+
+def run_with_host(host, source=MEMBER_READ_SCRIPT, engine="bytecode"):
+    interp = Interpreter(step_budget=500_000, engine=engine)
+    interp.define_global("h", host)
+    return interp.run(source)
+
+
+class TestHostMemberReads:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_read_reaches_get_member(self, engine):
+        host = CountingHost(x=1.0)
+        assert run_with_host(host, engine=engine) == "50:250"
+        assert host.reads == 100
+
+    def test_tree_made_function_as_host_member(self):
+        # A JSFunction minted by the tree engine, read off a host by the VM,
+        # is compiled on demand and invoked correctly on every call.
+        tree = Interpreter(engine="tree")
+        tree.run("function double(x){ return x * 2; }")
+        host = CountingHost(fn=tree.globals.lookup("double"))
+        result = run_with_host(
+            host,
+            "var s = 0; for (var i = 0; i < 20; i++) { s = s + h.fn(i); } s;")
+        assert result == float(2 * sum(range(20)))
+        assert host.reads == 20
+
+    def test_dropped_interpreter_releases_its_host_members(self):
+        # Compiled code is cached process-wide, so it must hold nothing
+        # that belongs to one interpreter.
+        interp = Interpreter(engine="bytecode")
+        interp.run(
+            "var s = 0; for (var i = 0; i < 20; i++) { s = s + Math.floor(1.5); }")
+        floor = weakref.ref(interp.globals.lookup("Math").get_member("floor"))
+        del interp
+        gc.collect()
+        assert floor() is None
 
 
 class TestCompilerInternals:

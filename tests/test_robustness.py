@@ -6,6 +6,8 @@ browser's error containment), the URL parser, and the honeyclient, and
 assert graceful behaviour throughout.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -13,6 +15,9 @@ from repro.adscript.errors import AdScriptError
 from repro.adscript.interpreter import Interpreter
 from repro.adscript.lexer import tokenize
 from repro.browser.browser import Browser
+from repro.datasets.world import WorldParams, build_world
+from repro.oracles.wepawet import Wepawet
+from repro.service import ScanService, ServiceConfig, sighting_record
 from repro.web.dns import DnsResolver
 from repro.web.html import parse_html
 from repro.web.http import HttpClient, HttpResponse, WebServer
@@ -141,3 +146,77 @@ class TestBrowserContainment:
             "document.write('<p>' + depth + '</p>'); }"
             "w(); w(); w();</script>")
         assert load.ok
+
+
+# Scripts that exhaust the Python stack: unbounded recursion (through a
+# <script> and through a timer callback) and absurdly deep nesting, which
+# recurses in the parser.
+HOSTILE_RECURSION = {
+    "recursion": "function f(n){return f(n+1);} f(0);",
+    "timer_recursion": "function g(n){return g(n+1);} setTimeout(g, 0);",
+    "deep_nesting": "var x = " + "(" * 3000 + "1" + ")" * 3000 + ";",
+}
+
+ENGINES = ("tree", "bytecode")
+
+HOSTILE_PARAMS = WorldParams(n_top_sites=6, n_bottom_sites=6,
+                             n_other_sites=6, n_feed_sites=2)
+
+
+def hostile_page(source):
+    return f"<html><body><script>{source}</script><p>alive</p></body></html>"
+
+
+class TestHostileRecursionGetsAVerdict:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world(seed=21, params=HOSTILE_PARAMS)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_RECURSION))
+    def test_browser_records_one_engine_neutral_event(self, name,
+                                                      monkeypatch):
+        events = {}
+        for engine in ENGINES:
+            monkeypatch.setenv("REPRO_ADSCRIPT_VM", engine)
+            resolver = DnsResolver()
+            resolver.register("host.com")
+            client = HttpClient(resolver)
+            server = WebServer()
+            server.set_fallback(
+                lambda req: HttpResponse.html(
+                    hostile_page(HOSTILE_RECURSION[name])))
+            client.mount("host.com", server)
+            load = Browser(client).load("http://host.com/")
+            assert load.ok
+            events[engine] = [e.data for e in load.events.of_kind(
+                "script_error")]
+        assert events["tree"] == [{"error": "recursion_limit"}]
+        assert events["bytecode"] == events["tree"]
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_RECURSION))
+    def test_wepawet_reports_match_across_engines(self, world, name,
+                                                  monkeypatch):
+        reports = {}
+        for engine in ENGINES:
+            monkeypatch.setenv("REPRO_ADSCRIPT_VM", engine)
+            wepawet = Wepawet(world.client, world.resolver)
+            report = wepawet.analyze_html(
+                hostile_page(HOSTILE_RECURSION[name]))
+            # Sample ids count submissions, not content.
+            reports[engine] = dataclasses.replace(report, sample_id="")
+        assert reports["tree"].features.script_errors == 1.0
+        assert reports["bytecode"] == reports["tree"]
+
+    def test_service_scans_without_retry_or_dead_letter(self):
+        config = ServiceConfig(seed=21, n_workers=1,
+                               world_params=HOSTILE_PARAMS,
+                               scan_max_attempts=3)
+        record = sighting_record(hostile_page(HOSTILE_RECURSION["recursion"]))
+        with ScanService(config) as service:
+            verdict = service.scan_sync(record, timeout=60)
+            stats = service.stats()
+            letters = service.dead_letters.letters()
+        assert verdict is not None
+        assert stats["counters"]["scan_retries"] == 0
+        assert stats["counters"]["dead_lettered"] == 0
+        assert letters == []
