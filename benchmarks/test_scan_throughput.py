@@ -19,18 +19,26 @@ both sides — so unlike the crawl-throughput floor it is not core-gated.
 Emits a ``SCAN_THROUGHPUT_JSON`` line for the perf dashboard.
 
 A second benchmark compares the AdScript engines (DESIGN §13) on
-script-heavy creatives: the same render workload under
-``REPRO_ADSCRIPT_VM=tree`` vs ``bytecode``, warm caches and
+script-heavy creatives: the same render workload with the browser
+constructing the tree-walking reference (``TreeInterpreter``) vs the
+production bytecode ``Interpreter``, parse and compile done untimed and
 single-threaded on both sides, so the ≥1.5× VM-over-tree floor is
 hardware-independent.  Emits ``ADSCRIPT_VM_JSON``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 
+import pytest
+
+from repro.adscript import tree as tree_module
+from repro.adscript.interpreter import Interpreter
+from repro.adscript.tree import TreeInterpreter
+from repro.browser import browser as browser_module
 from repro.datasets.world import WorldParams, build_world
 from repro.oracles.wepawet import Wepawet
 from repro.util.lru import cache_stats, clear_all_caches
@@ -85,7 +93,7 @@ _LIBRARY = _script_library()
 
 def _creative(index: int) -> str:
     # Each creative gets a unique driver so the cold pass never hits the
-    # program cache: pass 1 compiles N distinct scripts, pass 2 re-renders
+    # bytecode cache: pass 1 compiles N distinct scripts, pass 2 re-renders
     # the same N (the honeyclient / refresh scenario).
     return (
         "<html><head><title>unit</title></head><body>"
@@ -130,19 +138,11 @@ class TestScanThroughput:
 
         clear_all_caches()
         cold_time, cold_reports = _render_pass(wepawet, creatives)
-        # Warm renders land on whichever compile cache the engine consults
-        # first: adscript_bytecode under the VM (the AST cache is skipped
-        # entirely), adscript_programs under the tree walker.
-        compile_caches = ("adscript_programs", "adscript_bytecode")
-        hits_after_cold = sum(
-            cache_stats().get(name, {}).get("hits", 0)
-            for name in compile_caches)
+        hits_after_cold = cache_stats()["adscript_bytecode"]["hits"]
 
         warm_time, warm_reports = _render_pass(wepawet, creatives)
         stats = cache_stats()
-        warm_hits = sum(
-            stats.get(name, {}).get("hits", 0)
-            for name in compile_caches) - hits_after_cold
+        warm_hits = stats["adscript_bytecode"]["hits"] - hits_after_cold
 
         # The caches must be invisible in the reports.
         assert [_report_key(r) for r in cold_reports] == \
@@ -209,26 +209,37 @@ def _heavy_creative(index: int) -> str:
     )
 
 
-def _engine_pass(engine: str, creatives: list[str]):
-    """One warm single-threaded render pass with ``engine`` selected.
+def _engine_pass(interpreter_class: type, creatives: list[str]):
+    """One warm single-threaded render pass with the browser constructing
+    ``interpreter_class``.
 
-    A fresh Wepawet per pass keeps the comparison symmetric; the compile
-    caches are pre-warmed with an untimed render of each creative so the
-    timed pass measures pure execution, not parse/compile.
+    A fresh Wepawet per pass keeps the comparison symmetric.  An untimed
+    render of each creative comes first, so the timed pass measures pure
+    execution, not parse/compile: it fills the bytecode cache for the VM,
+    and a memo around the reference's ``parse_program`` for the tree
+    walker, which caches nothing itself.  The memo is keyed by sha256 like
+    the bytecode cache, so both timed passes pay the same per-run lookup.
     """
-    previous = os.environ.get("REPRO_ADSCRIPT_VM")
-    os.environ["REPRO_ADSCRIPT_VM"] = engine
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(browser_module, "Interpreter", interpreter_class)
+        if interpreter_class is TreeInterpreter:
+            parsed: dict = {}
+            parse_program = tree_module.parse_program
+
+            def parse_once(source):
+                key = hashlib.sha256(
+                    source.encode("utf-8", "backslashreplace")).digest()
+                program = parsed.get(key)
+                if program is None:
+                    program = parsed[key] = parse_program(source)
+                return program
+
+            patch.setattr(tree_module, "parse_program", parse_once)
         world = build_world(seed=BENCH_SEED, params=WorldParams(
             n_top_sites=4, n_bottom_sites=4, n_other_sites=4, n_feed_sites=2))
         wepawet = Wepawet(world.client, world.resolver)
-        _render_pass(wepawet, creatives)  # warm the caches, untimed
+        _render_pass(wepawet, creatives)  # parse/compile, untimed
         return _render_pass(wepawet, creatives)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_ADSCRIPT_VM", None)
-        else:
-            os.environ["REPRO_ADSCRIPT_VM"] = previous
 
 
 class TestAdscriptVmThroughput:
@@ -236,9 +247,9 @@ class TestAdscriptVmThroughput:
         creatives = [_heavy_creative(i) for i in range(N_HEAVY_CREATIVES)]
 
         clear_all_caches()
-        tree_time, tree_reports = _engine_pass("tree", creatives)
+        tree_time, tree_reports = _engine_pass(TreeInterpreter, creatives)
         clear_all_caches()
-        vm_time, vm_reports = _engine_pass("bytecode", creatives)
+        vm_time, vm_reports = _engine_pass(Interpreter, creatives)
         vm_compile_hits = cache_stats()["adscript_bytecode"]["hits"]
 
         # The engines must be indistinguishable in the reports.

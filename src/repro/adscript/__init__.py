@@ -2,8 +2,9 @@
 
 The paper's oracle (Wepawet) executes the JavaScript embedded in
 advertisements inside an emulated browser and watches its behaviour.  This
-package provides that capability: a lexer, a recursive-descent parser, and a
-tree-walking interpreter for the JavaScript subset that ad creatives in the
+package provides that capability: a lexer, a recursive-descent parser, a
+bytecode compiler and VM (with a tree-walking reference interpreter in
+:mod:`repro.adscript.tree`) for the JavaScript subset that ad creatives in the
 simulated ecosystem use — including the obfuscation primitives
 (``eval``, ``unescape``, ``String.fromCharCode``) that real malvertising
 droppers rely on, so detection cannot simply pattern-match source text.
@@ -18,7 +19,7 @@ from repro.adscript.errors import (
 )
 from repro.adscript.interpreter import Interpreter
 from repro.adscript.lexer import tokenize
-from repro.adscript.parser import compile_program, parse_program
+from repro.adscript.parser import parse_program
 from repro.adscript.values import (
     JSFunction,
     JSObject,
@@ -32,7 +33,6 @@ from repro.adscript.values import (
 __all__ = [
     "AdScriptError",
     "BudgetExceededError",
-    "compile_program",
     "Interpreter",
     "JSFunction",
     "JSObject",

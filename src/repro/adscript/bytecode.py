@@ -1,6 +1,6 @@
 """AdScript bytecode compiler.
 
-Compiles frozen :class:`~repro.adscript.ast_nodes.Program` trees to a compact
+Compiles :class:`~repro.adscript.ast_nodes.Program` trees to a compact
 stack bytecode executed by :mod:`repro.adscript.vm`.  The contract with the
 tree-walking interpreter is **bit-for-bit observable equivalence**: identical
 results, identical error messages, identical HostObject property traffic in
@@ -42,8 +42,9 @@ chain — exactly the lookup the tree-walker would have done.  Everything else
 name-based opcodes against the live environment chain.
 
 Compiled ``CodeObject``s are cached in the hash-addressed ``LruCache``
-registry under ``adscript_bytecode``, keyed off the same sha256 as the
-``adscript_programs`` AST cache, so warm renders skip parse *and* compile.
+registry under ``adscript_bytecode``, keyed by the sha256 of the source, so
+warm renders skip parse *and* compile.  The AST is parsed on a miss and not
+kept: only the frozen function bodies a ``CodeObject`` references survive.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Any, Optional
 from repro.adscript import ast_nodes as ast
 from repro.adscript.errors import ScriptRuntimeError
 from repro.adscript.interpreter import binary_op, to_int32
-from repro.adscript.parser import compile_program
+from repro.adscript.parser import parse_program
 from repro.adscript.values import (
     UNDEFINED,
     js_truthy,
@@ -206,7 +207,7 @@ class FunctionMeta:
     def __init__(self, name, params, body, code, named):
         self.name = name
         self.params = params  # the AST's param list (shared, never mutated)
-        self.body = body  # the AST body (kept for tree-engine interop)
+        self.body = body  # the AST body, copied onto each JSFunction made
         self.code = code
         self.named = named  # named function expression: self-binding scope
 
@@ -1004,19 +1005,24 @@ def compile_ast(program: ast.Program) -> CodeObject:
     return compiler.finish("<program>", hoisted=hoisted)
 
 
-# Hash-addressed compile cache: sha256(source) -> CodeObject, the same key the
-# adscript_programs AST cache uses, so a warm render skips parse and compile.
-# CodeObjects are immutable and their operands (frozen AST fragments, numbers,
-# strings, FunctionMetas) are never mutated at run time, so cross-thread and
-# cross-interpreter sharing is safe.
+# Hash-addressed compile cache: sha256(source) -> CodeObject, so a warm render
+# skips parse and compile.  The AST is frozen before compiling because
+# CodeObjects keep its function parameter lists and bodies (FunctionMeta), and
+# neither CodeObjects nor those operands are mutated at run time, so
+# cross-thread and cross-interpreter sharing is safe.
 _BYTECODE_CACHE = LruCache("adscript_bytecode", capacity=4096)
 
 
 def compile_source(source: str) -> CodeObject:
+    """Compile ``source`` via the process-wide cache.
+
+    Parse errors are not cached: an invalid script re-raises identically on
+    every call.
+    """
     key = hashlib.sha256(source.encode("utf-8", "backslashreplace")).digest()
     code = _BYTECODE_CACHE.get(key)
     if code is None:
-        code = compile_ast(compile_program(source))
+        code = compile_ast(ast.freeze(parse_program(source)))
         _BYTECODE_CACHE.put(key, code)
     return code
 

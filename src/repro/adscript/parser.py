@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional
 
 from repro.adscript import ast_nodes as ast
 from repro.adscript.errors import ParseError
 from repro.adscript.lexer import Token, tokenize
-from repro.util.lru import LruCache
 
 # Binary operator precedence (higher binds tighter).
 PRECEDENCE = {
@@ -488,27 +486,3 @@ def parse_program(source: str) -> ast.Program:
     """Parse AdScript ``source`` text into a fresh, mutable AST."""
     return Parser(tokenize(source)).parse_program()
 
-
-# Hash-addressed compile cache: sha256(source) -> frozen Program shared by
-# every interpreter in the process.  Creatives are template-generated and
-# repeat verbatim across refreshes and honeyclient re-renders, so each
-# distinct script is lexed + parsed once.  Frozen ASTs are read-only at
-# execution time (the interpreter walks them; all mutable run state lives
-# in Environments and JS values), so sharing across threads is safe.
-_PROGRAM_CACHE = LruCache("adscript_programs", capacity=4096)
-
-
-def compile_program(source: str) -> ast.Program:
-    """Parse ``source`` via the process-wide compile cache.
-
-    Returns a **frozen** :class:`~repro.adscript.ast_nodes.Program` that may
-    be shared between interpreters; callers that need a private mutable AST
-    should use :func:`parse_program`.  Parse errors are not cached — an
-    invalid script re-raises identically on every call.
-    """
-    key = hashlib.sha256(source.encode("utf-8", "backslashreplace")).digest()
-    program = _PROGRAM_CACHE.get(key)
-    if program is None:
-        program = ast.freeze(parse_program(source))
-        _PROGRAM_CACHE.put(key, program)
-    return program

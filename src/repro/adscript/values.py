@@ -76,7 +76,7 @@ class JSFunction:
     params: list[str]
     body: list[Any]  # list of ast statement nodes
     closure: Any  # Environment; typed loosely to avoid a circular import
-    code: Any = None  # bytecode CodeObject, compiled lazily for tree-made fns
+    code: Any = None  # bytecode CodeObject; None when made by the tree walker
 
     def __repr__(self) -> str:
         return f"JSFunction({self.name or '<anonymous>'})"

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.adscript import bytecode as _bc
-from repro.adscript.bytecode import compile_function_code
 from repro.adscript.errors import (
     BudgetExceededError,
     ScriptRuntimeError,
@@ -130,11 +129,6 @@ def _invoke(interp, fn: Any, args: list, this: Any) -> Any:
 
 def _call_compiled(interp, fn: JSFunction, args: list, this: Any) -> Any:
     code = fn.code
-    if code is None:
-        # Function created by the tree engine (or deserialized): compile on
-        # demand and cache on the instance.
-        code = compile_function_code(fn.name, fn.params, fn.body)
-        fn.code = code
     env = Environment(fn.closure)
     frame = Frame(env)
     nargs = len(args)

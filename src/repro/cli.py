@@ -327,7 +327,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.persistence import load_corpus
     from repro.core.study import Study
-    from repro.service import ScanService, ServiceConfig, VerdictCache
+    from repro.service import ScanService, ServiceConfig
 
     config = _config_from(args)
     autoscale_min = autoscale_max = None
@@ -346,14 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         autoscale_min=autoscale_min,
         autoscale_max=autoscale_max,
     )
-    cache = None
-    if args.load_cache:
-        cache = VerdictCache.load(args.load_cache,
-                                  capacity=args.cache_capacity)
-        print(f"warmed cache with {len(cache)} verdicts from {args.load_cache}",
-              file=sys.stderr)
-
-    with ScanService(service_config, cache=cache) as service:
+    with ScanService(service_config) as service:
         if service.store is not None:
             recovery = service.store.recovery
             print(f"store: {len(service.store)} verdicts recovered from "
@@ -515,10 +508,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       f"wait p99 {event['wait_p99'] * 1000:.1f}ms)")
         if gateway is not None:
             _print_gateway_report(gateway)
-        if args.save_cache:
-            n = service.cache.save(args.save_cache)
-            print(f"wrote {n} cached verdicts to {args.save_cache}",
-                  file=sys.stderr)
     return 0
 
 
@@ -678,10 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-policy", choices=("block", "reject"),
                        default="block")
     serve.add_argument("--cache-capacity", type=int, default=65536)
-    serve.add_argument("--load-cache", metavar="PATH",
-                       help="warm the verdict cache from a saved file")
-    serve.add_argument("--save-cache", metavar="PATH",
-                       help="persist the verdict cache on shutdown")
     serve.add_argument("--store", metavar="DIR",
                        help="durable verdict store directory: verdicts "
                             "persist as they are scanned and survive "

@@ -19,20 +19,10 @@ sleeping.  Failures that exhaust a task's attempt budget land in the
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional, Union
-
-from repro.core.persistence import (
-    FORMAT_VERSION,
-    atomic_writer,
-    check_format_version,
-)
-
-PathLike = Union[str, Path]
+from typing import Callable, Optional
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
@@ -202,56 +192,3 @@ class DeadLetterLog:
                 "recorded_total": self.recorded_total,
                 "dropped": self.dropped,
             }
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path: PathLike) -> int:
-        """Write the letters as JSONL, atomically; returns the count.
-
-        Dead letters are the record of work the service *failed* to do —
-        exactly the data an operator reads after a bad run — so the save
-        must never itself be a casualty of the crash it is documenting.
-        The write goes through the same temp-file-then-rename discipline
-        as crawl checkpoints.
-        """
-        with self._lock:
-            letters = list(self._letters)
-        count = 0
-        with atomic_writer(path) as handle:
-            for letter in letters:
-                row = {"version": FORMAT_VERSION, "kind": "dead_letter"}
-                row.update(vars(letter))
-                handle.write(json.dumps(row, sort_keys=True))
-                handle.write("\n")
-                count += 1
-        return count
-
-    @classmethod
-    def load(cls, path: PathLike, capacity: int = 1024,
-             clock: Callable[[], float] = time.monotonic) -> "DeadLetterLog":
-        """Reload a log written by :meth:`save` (counters start fresh)."""
-        log = cls(capacity=capacity, clock=clock)
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                check_format_version(data, what="dead letter")
-                if data.get("kind") != "dead_letter":
-                    raise ValueError(
-                        f"{path} is not a dead-letter log "
-                        f"(kind={data.get('kind')!r})")
-                letter = DeadLetter(
-                    ad_id=data["ad_id"],
-                    content_hash=data["content_hash"],
-                    attempts=data["attempts"],
-                    error=data["error"],
-                    recorded_at=data["recorded_at"],
-                    tenant=data.get("tenant"),
-                )
-                with log._lock:
-                    if len(log._letters) >= log.capacity:
-                        log._letters.pop(0)
-                    log._letters.append(letter)
-        return log

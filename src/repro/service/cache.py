@@ -13,23 +13,12 @@ campaign infrastructure gets taken down).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.core.oracle import AdVerdict
-from repro.core.persistence import (
-    FORMAT_VERSION,
-    atomic_writer,
-    check_format_version,
-    verdict_from_dict,
-    verdict_to_dict,
-)
-
-PathLike = Union[str, Path]
 
 
 class VerdictCache:
@@ -67,8 +56,6 @@ class VerdictCache:
         self.evictions = 0
         self.expirations = 0
         self.insertions = 0
-        #: Corrupt JSONL lines skipped during :meth:`load` warm-start.
-        self.load_skipped = 0
 
     # -- core operations -----------------------------------------------------
 
@@ -145,78 +132,4 @@ class VerdictCache:
             "evictions": self.evictions,
             "expirations": self.expirations,
             "insertions": self.insertions,
-            "load_skipped": self.load_skipped,
         }
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path: PathLike) -> int:
-        """Write the cache contents as JSONL (LRU→MRU order); returns count.
-
-        A service restart should not start cold: the saved file replays
-        through :meth:`load` so repeat creatives keep skipping the oracle
-        across process lifetimes.  The write is atomic (temp file +
-        rename), so a crash mid-save leaves the previous complete file,
-        never a torn one.
-        """
-        path = Path(path)
-        count = 0
-        with self._lock:
-            entries = list(self._entries.items())
-        with atomic_writer(path) as handle:
-            for content_hash, (verdict, _) in entries:
-                row = {
-                    "version": FORMAT_VERSION,
-                    "content_hash": content_hash,
-                    "verdict": verdict_to_dict(verdict),
-                }
-                handle.write(json.dumps(row, sort_keys=True))
-                handle.write("\n")
-                count += 1
-        return count
-
-    @classmethod
-    def load(
-        cls,
-        path: PathLike,
-        capacity: int = 65536,
-        ttl: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> "VerdictCache":
-        """Rebuild a cache from :meth:`save` output (entries enter fresh).
-
-        A warm-start file lives across crashes, so it may carry torn or
-        garbled lines (a kill mid-``save``, disk trouble).  Corrupt lines
-        are *skipped and counted* (``load_skipped``, surfaced in
-        :meth:`stats`) rather than aborting the whole warm-up — a cold
-        entry costs one rescan, a refused warm-start costs them all.  A
-        well-formed line declaring an incompatible format version is not
-        corruption, though: that means the whole file is foreign or from
-        a newer build, and still fails loudly.
-        """
-        cache = cls(capacity=capacity, ttl=ttl, clock=clock)
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except ValueError:
-                    cache.load_skipped += 1
-                    continue
-                if not isinstance(data, dict) or not isinstance(
-                        data.get("version"), int):
-                    cache.load_skipped += 1
-                    continue
-                check_format_version(data, what="verdict cache entry")
-                try:
-                    verdict = verdict_from_dict(data["verdict"])
-                    content_hash = data["content_hash"]
-                except (ValueError, KeyError, TypeError):
-                    cache.load_skipped += 1
-                    continue
-                cache.put(content_hash, verdict)
-        # Loading is warm-up, not traffic: don't let it skew the counters.
-        cache.insertions = 0
-        return cache

@@ -225,11 +225,10 @@ class ScanService:
     """Online advertisement scanning over the combined oracle."""
 
     def __init__(self, config: Optional[ServiceConfig] = None,
-                 cache: Optional[VerdictCache] = None,
                  store: Optional[VerdictStore] = None) -> None:
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
-        self.cache = cache or VerdictCache(
+        self.cache = VerdictCache(
             capacity=self.config.cache_capacity, ttl=self.config.cache_ttl)
         # The persistent tier: an explicit store wins; otherwise one is
         # opened (with full crash recovery) when the config names a path.

@@ -24,14 +24,10 @@ cached before the fork via copy-on-write and then warm their own copies
 independently; no cross-process sharing or invalidation is attempted
 (nothing cached here is ever invalidated — the key is a hash of the full
 input, so a stale entry cannot exist).
-
-The ``REPRO_COMPILE_CACHES=0`` environment variable disables all caches at
-import time, as an escape hatch for bisecting cache-related suspicions.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -40,7 +36,7 @@ from typing import Any, Dict, Iterator, Optional
 _REGISTRY_LOCK = threading.Lock()
 _REGISTRY: "OrderedDict[str, LruCache]" = OrderedDict()
 
-_ENABLED = os.environ.get("REPRO_COMPILE_CACHES", "1") != "0"
+_ENABLED = True
 
 
 class LruCache:

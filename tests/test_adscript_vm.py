@@ -11,11 +11,14 @@ The VM's contract is bit-for-bit observable equivalence (DESIGN §13):
   prove tick-exact accounting on successful runs;
 * bit-identical corpus and verdict fingerprints over the full streamed
   crawl+scan pipeline, serial and at 4 workers in thread and fork modes,
-  with ``REPRO_ADSCRIPT_VM`` flipping engines and no call-site changes.
+  with the reference swapped in for the interpreter class the browser
+  constructs and no other call-site changes.
+
+The reference is :class:`~repro.adscript.tree.TreeInterpreter`; production
+constructs :class:`~repro.adscript.interpreter.Interpreter`, which runs the VM.
 """
 
 import gc
-import os
 import weakref
 
 import pytest
@@ -33,12 +36,14 @@ from repro.adscript.errors import (
 )
 from repro.adscript.interpreter import Environment, Interpreter
 from repro.adscript.parser import parse_program
+from repro.adscript.tree import TreeInterpreter
 from repro.adscript.values import (
     HostObject,
     NativeFunction,
     UNDEFINED,
     to_js_string,
 )
+from repro.browser import browser as browser_module
 from repro.core.persistence import corpus_fingerprint, verdict_fingerprint
 from repro.core.study import Study, StudyConfig
 from repro.crawler.parallel import fork_available
@@ -46,7 +51,8 @@ from repro.datasets.world import WorldParams
 from repro.service import ScanService, ServiceConfig, stream_crawl
 from repro.util.lru import all_caches, clear_all_caches
 
-ENGINES = ("tree", "bytecode")
+# Engine name -> the interpreter class that runs it.
+ENGINES = {"tree": TreeInterpreter, "bytecode": Interpreter}
 
 
 # -- engine harness -----------------------------------------------------------
@@ -64,7 +70,7 @@ def run_engine(engine, source, budget=500_000):
         trace.append(tuple(to_js_string(a) for a in args))
         return UNDEFINED
 
-    interp = Interpreter(step_budget=budget, engine=engine)
+    interp = ENGINES[engine](step_budget=budget)
     interp.define_global("probe", NativeFunction("probe", _probe))
     try:
         result = interp.run(source)
@@ -309,8 +315,8 @@ class TestBudgetExhaustion:
         # Browsers reuse one interpreter per frame across scripts, so the
         # counter must accumulate identically on both engines.
         totals = {}
-        for engine in ENGINES:
-            interp = Interpreter(step_budget=10_000, engine=engine)
+        for engine, interpreter_class in ENGINES.items():
+            interp = interpreter_class(step_budget=10_000)
             interp.run("var a = 1 + 2;")
             interp.run("var b = a * 3; b;")
             totals[engine] = interp.steps
@@ -348,8 +354,8 @@ class TestThrowOrdering:
 
 class TestSloppyGlobals:
     def test_assign_creates_in_root(self):
-        for engine in ENGINES:
-            interp = Interpreter(engine=engine)
+        for interpreter_class in ENGINES.values():
+            interp = interpreter_class()
             interp.run("function deep(){ function deeper(){ gx = 42; }"
                        " deeper(); } deep();")
             assert interp.globals.lookup("gx") == 42.0
@@ -362,30 +368,6 @@ class TestSloppyGlobals:
         leaf.assign("fresh", 1)
         assert root.bindings["fresh"] == 1
         assert "fresh" not in leaf.bindings
-
-
-class TestEngineRouting:
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADSCRIPT_VM", "tree")
-        assert Interpreter().engine == "tree"
-        monkeypatch.setenv("REPRO_ADSCRIPT_VM", "bytecode")
-        assert Interpreter().engine == "bytecode"
-        monkeypatch.delenv("REPRO_ADSCRIPT_VM")
-        assert Interpreter().engine == "bytecode"  # default
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Interpreter(engine="jit")
-
-    def test_cross_engine_function_values(self):
-        # A function created by the tree engine runs on the VM (compiled on
-        # demand) — host callbacks cross engine boundaries in the browser.
-        tree = Interpreter(engine="tree")
-        tree.run("function double(x){ return x * 2; }")
-        fn = tree.globals.lookup("double")
-        vm = Interpreter(engine="bytecode")
-        assert vm.call_function(fn, [4.0]) == 8.0
-        assert fn.code is not None  # cached on the instance
 
 
 class CountingHost(HostObject):
@@ -416,7 +398,7 @@ a + ":" + b;
 
 
 def run_with_host(host, source=MEMBER_READ_SCRIPT, engine="bytecode"):
-    interp = Interpreter(step_budget=500_000, engine=engine)
+    interp = ENGINES[engine](step_budget=500_000)
     interp.define_global("h", host)
     return interp.run(source)
 
@@ -428,22 +410,10 @@ class TestHostMemberReads:
         assert run_with_host(host, engine=engine) == "50:250"
         assert host.reads == 100
 
-    def test_tree_made_function_as_host_member(self):
-        # A JSFunction minted by the tree engine, read off a host by the VM,
-        # is compiled on demand and invoked correctly on every call.
-        tree = Interpreter(engine="tree")
-        tree.run("function double(x){ return x * 2; }")
-        host = CountingHost(fn=tree.globals.lookup("double"))
-        result = run_with_host(
-            host,
-            "var s = 0; for (var i = 0; i < 20; i++) { s = s + h.fn(i); } s;")
-        assert result == float(2 * sum(range(20)))
-        assert host.reads == 20
-
     def test_dropped_interpreter_releases_its_host_members(self):
         # Compiled code is cached process-wide, so it must hold nothing
         # that belongs to one interpreter.
-        interp = Interpreter(engine="bytecode")
+        interp = Interpreter()
         interp.run(
             "var s = 0; for (var i = 0; i < 20; i++) { s = s + Math.floor(1.5); }")
         floor = weakref.ref(interp.globals.lookup("Math").get_member("floor"))
@@ -520,44 +490,44 @@ MODES = ["thread"] + (["process"] if fork_available() else [])
 def _run_pipeline_engine(engine, crawl_workers, mode):
     """Full streamed crawl+scan on one engine; (fingerprint, verdicts, stats).
 
-    Engine selection goes through the REPRO_ADSCRIPT_VM environment variable
-    only — proving the escape hatch flips every interpreter in the render
-    path (browser frames, stdlib eval, oracles) without call-site changes.
-    Thread workers read it at Interpreter construction; fork workers inherit
-    it through the environment.
+    The engine is chosen by swapping the interpreter class the browser
+    constructs for every frame, and nothing else: browser frames, stdlib
+    eval and the oracles' renders all follow it.  Thread workers construct
+    from the patched name; fork workers inherit the patch.
     """
-    previous = os.environ.get("REPRO_ADSCRIPT_VM")
-    os.environ["REPRO_ADSCRIPT_VM"] = engine
+    clear_all_caches()
     try:
-        clear_all_caches()
-        study = Study(StudyConfig(**STUDY_CONFIG.__dict__))
-        if crawl_workers == 1:
-            crawler = study.build_crawler()
-        else:
-            crawler = study.build_parallel_crawler(workers=crawl_workers,
-                                                   mode=mode)
-        config = ServiceConfig(seed=SEED, n_workers=2, world_params=PARAMS,
-                               batch_max_size=4, batch_max_delay=0.01)
-        with ScanService(config) as service:
-            corpus, _, tickets = stream_crawl(
-                crawler, study.build_schedule(), service)
-            service.drain()
-            verdicts = {ad_id: verdict_fingerprint(ticket.result(timeout=120))
-                        for ad_id, ticket in tickets.items()}
-            stats = service.stats()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(browser_module, "Interpreter", ENGINES[engine])
+            study = Study(StudyConfig(**STUDY_CONFIG.__dict__))
+            if crawl_workers == 1:
+                crawler = study.build_crawler()
+            else:
+                crawler = study.build_parallel_crawler(workers=crawl_workers,
+                                                       mode=mode)
+            config = ServiceConfig(seed=SEED, n_workers=2, world_params=PARAMS,
+                                   batch_max_size=4, batch_max_delay=0.01)
+            with ScanService(config) as service:
+                corpus, _, tickets = stream_crawl(
+                    crawler, study.build_schedule(), service)
+                service.drain()
+                verdicts = {
+                    ad_id: verdict_fingerprint(ticket.result(timeout=120))
+                    for ad_id, ticket in tickets.items()}
+                stats = service.stats()
         return corpus_fingerprint(corpus), verdicts, stats
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_ADSCRIPT_VM", None)
-        else:
-            os.environ["REPRO_ADSCRIPT_VM"] = previous
         clear_all_caches()
 
 
 @pytest.fixture(scope="module")
 def tree_serial_baseline():
-    fingerprint, verdicts, _ = _run_pipeline_engine("tree", 1, None)
+    fingerprint, verdicts, stats = _run_pipeline_engine("tree", 1, None)
     assert verdicts  # the workload scans something
+    # The baseline is meaningless if any script slipped past the reference
+    # onto the VM: the tree walker never compiles bytecode.
+    bytecode = stats["compile_caches"]["adscript_bytecode"]
+    assert bytecode["hits"] == bytecode["misses"] == 0
     return fingerprint, verdicts
 
 

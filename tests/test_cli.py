@@ -94,30 +94,25 @@ class TestExecution:
         assert code == 0
         assert "Figure 5" in capsys.readouterr().out
 
-    def test_serve_command_small(self, capsys, tmp_path):
-        cache_path = tmp_path / "cache.jsonl"
+    def test_serve_command_small(self, capsys):
         code = main(["serve", "--seed", "5", "--days", "1", "--refreshes", "1",
-                     "--sites", "5", "--feed-sites", "1", "--workers", "2",
-                     "--save-cache", str(cache_path)])
+                     "--sites", "5", "--feed-sites", "1", "--workers", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "service report" in out
         assert "oracle scans" in out
         assert "replay 2" in out
-        assert cache_path.exists()
 
     def test_serve_streaming_with_warm_cache(self, capsys, tmp_path):
-        cache_path = tmp_path / "cache.jsonl"
+        store_dir = tmp_path / "store"
         base = ["--seed", "5", "--days", "1", "--refreshes", "1",
-                "--sites", "5", "--feed-sites", "1"]
-        assert main(["serve", *base, "--save-cache", str(cache_path),
-                     "--replays", "1"]) == 0
+                "--sites", "5", "--feed-sites", "1", "--store", str(store_dir)]
+        assert main(["serve", *base, "--replays", "1"]) == 0
         capsys.readouterr()
-        assert main(["serve", *base, "--stream", "--replays", "1",
-                     "--load-cache", str(cache_path)]) == 0
+        assert main(["serve", *base, "--stream", "--replays", "1"]) == 0
         out = capsys.readouterr().out
         assert "streamed crawl" in out
-        # Warm cache: the streaming run re-scans nothing.
+        # Warm restart from the store: the streaming run re-scans nothing.
         assert "oracle scans:   0" in out
 
     def test_countermeasures_command_small(self, capsys):

@@ -5,21 +5,26 @@ Three families of guarantees:
 * **cache mechanics** — the shared :class:`~repro.util.lru.LruCache`
   primitive bounds its size, evicts LRU-first, counts hits/misses, and
   goes fully inert when the global switch is off;
-* **immutability** — cached adscript ASTs are frozen (mutation raises)
-  and runs that mutate their environment never poison the shared
-  ``Program``; cached HTML token streams always re-materialise a fresh
-  mutable DOM;
+* **immutability** — the AST fragments cached bytecode keeps are frozen
+  (mutation raises) and runs that mutate their environment never poison
+  the shared ``CodeObject``; cached HTML token streams always
+  re-materialise a fresh mutable DOM;
+* **footprint** — the bytecode cache keeps no parsed ``Program`` alive;
 * **behaviour invariance** — the full crawl+scan pipeline produces
   bit-identical corpus fingerprints and per-ad verdict fingerprints with
   caches forced on vs. off, serial and at 4 workers, in both thread and
   fork worker modes.
 """
 
+import gc
+
 import pytest
 
+from repro.adscript import ast_nodes as ast
+from repro.adscript.bytecode import compile_source
 from repro.adscript.errors import ScriptRuntimeError
 from repro.adscript.interpreter import Interpreter
-from repro.adscript.parser import compile_program, parse_program
+from repro.adscript.parser import parse_program
 from repro.adscript.regex import RegexSyntaxError, compile_pattern
 from repro.core.persistence import corpus_fingerprint, verdict_fingerprint
 from repro.core.study import Study, StudyConfig
@@ -107,18 +112,25 @@ class TestLruCache:
 # -- adscript program cache ---------------------------------------------------
 
 
+def _live_programs() -> int:
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, ast.Program))
+
+
 class TestProgramCache:
     def test_same_source_shares_one_frozen_program(self):
         src = "var shared = 1 + 2; shared;"
-        assert compile_program(src) is compile_program(src)
+        assert compile_source(src) is compile_source(src)
         assert parse_program(src) is not parse_program(src)  # stays private
 
     def test_frozen_ast_rejects_mutation(self):
-        program = compile_program("var x = 1;")
+        # Cached bytecode shares its functions' parameter lists and bodies
+        # with every interpreter, so those AST fragments are frozen.
+        code = compile_source("function f(a) { var x = 1; }")
+        (_, meta), = code.hoisted
         with pytest.raises(AttributeError):
-            program.body[0].line = 99
+            meta.body[0].line = 99
         with pytest.raises(AttributeError):
-            program.extra = True
+            meta.body[0].extra = True
 
     def test_parse_program_stays_mutable(self):
         program = parse_program("var x = 1;")
@@ -131,7 +143,7 @@ class TestProgramCache:
                "a.push(o.n); o.n = bump(o.n); o.n;")
         results = [Interpreter().run(src) for _ in range(3)]
         assert results == [42, 42, 42]
-        assert compile_program(src) is compile_program(src)
+        assert compile_source(src) is compile_source(src)
 
     def test_eval_routes_through_cache_and_stays_correct(self):
         src = 'var r = eval("3 * 7"); r;'
@@ -152,6 +164,20 @@ class TestProgramCache:
         for _ in range(2):
             with pytest.raises(ScriptRuntimeError):
                 Interpreter().run(src)
+
+    def test_compiled_scripts_keep_no_program_alive(self):
+        # Only the bytecode is cached: the parsed Program a miss compiles
+        # from is garbage once compile_source returns.
+        clear_all_caches()
+        gc.collect()
+        before = _live_programs()
+        codes = [compile_source(f"function f{i}(x) {{ return x + {i}; }}"
+                                f" var v{i} = f{i}(1);")
+                 for i in range(50)]
+        assert all(code is not None for code in codes)
+        del codes
+        gc.collect()
+        assert _live_programs() == before
 
 
 # -- html token cache ---------------------------------------------------------
@@ -323,11 +349,9 @@ class TestCachesAreBehaviorInvariant:
         # The workload repeats creatives, so the caches must actually hit —
         # this differential is meaningless against an idle cache.
         compile_caches = stats["compile_caches"]
-        # On the bytecode engine a warm render hits adscript_bytecode and
-        # skips the AST cache entirely (parse + compile both cached away);
-        # the programs cache still sees the cold-compile misses.
+        # A warm render hits adscript_bytecode: parse and compile are both
+        # cached away.
         assert compile_caches["adscript_bytecode"]["hits"] > 0
-        assert compile_caches["adscript_programs"]["misses"] > 0
         assert compile_caches["html_tokens"]["hits"] > 0
         assert compile_caches["url_etld"]["hits"] > 0
 
@@ -340,7 +364,7 @@ class TestCachesAreBehaviorInvariant:
 
     def test_service_stats_expose_cache_gauges(self, uncached_serial_baseline):
         _, _, stats = _run_pipeline(1, None, enabled=True)
-        for name in ("adscript_programs", "adscript_bytecode",
+        for name in ("adscript_bytecode",
                      "adscript_regexes", "html_tokens",
                      "url_etld", "url_site_domains"):
             assert name in stats["compile_caches"]

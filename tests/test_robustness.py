@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.adscript.errors import AdScriptError
 from repro.adscript.interpreter import Interpreter
 from repro.adscript.lexer import tokenize
+from repro.adscript.tree import TreeInterpreter
+from repro.browser import browser as browser_module
 from repro.browser.browser import Browser
 from repro.datasets.world import WorldParams, build_world
 from repro.oracles.wepawet import Wepawet
@@ -157,7 +159,8 @@ HOSTILE_RECURSION = {
     "deep_nesting": "var x = " + "(" * 3000 + "1" + ")" * 3000 + ";",
 }
 
-ENGINES = ("tree", "bytecode")
+# Engine name -> the interpreter class the browser is made to construct.
+ENGINES = {"tree": TreeInterpreter, "bytecode": Interpreter}
 
 HOSTILE_PARAMS = WorldParams(n_top_sites=6, n_bottom_sites=6,
                              n_other_sites=6, n_feed_sites=2)
@@ -176,8 +179,9 @@ class TestHostileRecursionGetsAVerdict:
     def test_browser_records_one_engine_neutral_event(self, name,
                                                       monkeypatch):
         events = {}
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_ADSCRIPT_VM", engine)
+        for engine, interpreter_class in ENGINES.items():
+            monkeypatch.setattr(browser_module, "Interpreter",
+                                interpreter_class)
             resolver = DnsResolver()
             resolver.register("host.com")
             client = HttpClient(resolver)
@@ -197,8 +201,9 @@ class TestHostileRecursionGetsAVerdict:
     def test_wepawet_reports_match_across_engines(self, world, name,
                                                   monkeypatch):
         reports = {}
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_ADSCRIPT_VM", engine)
+        for engine, interpreter_class in ENGINES.items():
+            monkeypatch.setattr(browser_module, "Interpreter",
+                                interpreter_class)
             wepawet = Wepawet(world.client, world.resolver)
             report = wepawet.analyze_html(
                 hostile_page(HOSTILE_RECURSION[name]))

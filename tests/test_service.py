@@ -116,17 +116,13 @@ class TestCacheBehaviour:
         assert stats["counters"]["scanned"] == 1
         assert stats["counters"]["coalesced"] == 2
 
-    def test_cache_survives_restart_via_save_load(self, corpus, tmp_path):
-        from repro.service import VerdictCache
-
-        path = tmp_path / "verdicts-cache.jsonl"
-        with ScanService(service_config()) as service:
+    def test_cache_survives_restart_via_store(self, corpus, tmp_path):
+        config = service_config(store_path=tmp_path / "verdicts")
+        with ScanService(config) as service:
             service.submit_corpus(corpus)
             service.drain()
-            service.cache.save(path)
 
-        warmed = VerdictCache.load(path)
-        with ScanService(service_config(), cache=warmed) as service:
+        with ScanService(config) as service:
             tickets = service.submit_corpus(corpus)
             service.drain()
             stats = service.stats()

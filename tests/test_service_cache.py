@@ -1,9 +1,8 @@
-"""Tests for the verdict cache (LRU order, TTL expiry, persistence)."""
+"""Tests for the verdict cache (LRU order, TTL expiry, stats)."""
 
 import pytest
 
 from repro.core.oracle import AdVerdict
-from repro.core.persistence import verdict_fingerprint
 from repro.oracles.features import BehaviourFeatures
 from repro.oracles.wepawet import WepawetReport
 from repro.service.cache import VerdictCache
@@ -118,35 +117,6 @@ class TestTtl:
 
 
 class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        cache = VerdictCache(capacity=8)
-        for key in ("a", "b", "c"):
-            cache.put(key, make_verdict(key))
-        path = tmp_path / "cache.jsonl"
-        assert cache.save(path) == 3
-        loaded = VerdictCache.load(path, capacity=8)
-        assert len(loaded) == 3
-        for key in ("a", "b", "c"):
-            original = cache.get(key)
-            restored = loaded.get(key)
-            assert verdict_fingerprint(restored) == verdict_fingerprint(original)
-
-    def test_load_preserves_lru_order(self, tmp_path):
-        cache = VerdictCache(capacity=8)
-        for key in ("a", "b", "c"):
-            cache.put(key, make_verdict(key))
-        cache.get("a")  # LRU→MRU: b, c, a
-        path = tmp_path / "cache.jsonl"
-        cache.save(path)
-        loaded = VerdictCache.load(path, capacity=8)
-        assert loaded.keys() == ["b", "c", "a"]
-
-    def test_load_rejects_newer_format(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        path.write_text('{"version": 99, "content_hash": "x", "verdict": {}}\n')
-        with pytest.raises(ValueError, match="upgrade"):
-            VerdictCache.load(path)
-
     def test_stats_shape(self):
         cache = VerdictCache(capacity=8)
         stats = cache.stats()

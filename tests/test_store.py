@@ -4,12 +4,10 @@ Covers the on-disk segment format (checksums, torn tails, seals), the
 store's full lifecycle (put/get, rolling, sealing, reopen determinism),
 recovery from every planned disk fault
 (:mod:`repro.chaos.fs`), compaction bit-identity, fsck, and the
-atomic-write discipline the satellites extended to the verdict cache
-and dead-letter log.
+atomic-write discipline.
 """
 
 import json
-import os
 
 import pytest
 
@@ -528,49 +526,3 @@ class TestAtomicDiscipline:
                 raise RuntimeError("crash mid-write")
         assert target.read_text() == "previous"
         assert not (tmp_path / "out.txt.tmp").exists()
-
-    def test_verdict_cache_save_is_atomic(self, tmp_path, monkeypatch):
-        from repro.service import VerdictCache
-
-        cache = VerdictCache()
-        cache.put(content_key(1), make_verdict(1))
-        path = tmp_path / "cache.jsonl"
-        cache.save(path)
-        previous = path.read_bytes()
-        # A save that dies mid-write must leave the previous file intact.
-        cache.put(content_key(2), make_verdict(2))
-        original_replace = os.replace
-
-        def exploding_replace(src, dst):
-            raise OSError("chaos: power cut at the commit point")
-        monkeypatch.setattr(os, "replace", exploding_replace)
-        with pytest.raises(OSError):
-            cache.save(path)
-        monkeypatch.setattr(os, "replace", original_replace)
-        assert path.read_bytes() == previous
-
-    def test_dead_letter_log_save_load_round_trip(self, tmp_path):
-        from repro.service import DeadLetterLog
-
-        log = DeadLetterLog(capacity=8)
-        log.record("ad-1", content_key(1), attempts=3,
-                   error=RuntimeError("oracle wedged"), tenant="acme")
-        log.record("ad-2", content_key(2), attempts=1,
-                   error=ValueError("bad sample"))
-        path = tmp_path / "dead.jsonl"
-        assert log.save(path) == 2
-        assert not (tmp_path / "dead.jsonl.tmp").exists()
-        loaded = DeadLetterLog.load(path)
-        letters = loaded.letters()
-        assert [l.ad_id for l in letters] == ["ad-1", "ad-2"]
-        assert letters[0].tenant == "acme"
-        assert letters[1].tenant is None
-        assert "oracle wedged" in letters[0].error
-
-    def test_dead_letter_load_refuses_foreign_files(self, tmp_path):
-        from repro.service import DeadLetterLog
-
-        path = tmp_path / "foreign.jsonl"
-        path.write_text('{"version": 1, "kind": "something_else"}\n')
-        with pytest.raises(ValueError, match="not a dead-letter log"):
-            DeadLetterLog.load(path)
