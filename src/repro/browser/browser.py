@@ -65,21 +65,31 @@ class _FrameContext:
         self.frame = frame
         self.load = load
         self.referrer = referrer
-        self.interpreter = Interpreter(step_budget=browser.step_budget)
-        self.interpreter.host_random = browser._script_random
-        self.interpreter.record_eval = self._record_eval
         self.timers: list[Any] = []
         self.pending_navigation: Optional[str] = None
         self.dynamic_elements: list[Element] = []
-        self._write_buffer: list[str] = []
-        self._install_bom()
+        self._interpreter: Optional[Interpreter] = None
 
-    def _install_bom(self) -> None:
+    @property
+    def interpreter(self) -> Interpreter:
+        """The frame's script engine with stdlib and BOM globals installed.
+
+        Most frames run no script, so it is built on first use.  Building
+        it reads no world state, so deferring it changes no behaviour.
+        """
+        if self._interpreter is None:
+            interpreter = Interpreter(step_budget=self.browser.step_budget)
+            interpreter.host_random = self.browser._script_random
+            interpreter.record_eval = self._record_eval
+            self._install_bom(interpreter)
+            self._interpreter = interpreter
+        return self._interpreter
+
+    def _install_bom(self, g: Interpreter) -> None:
         from repro.browser.bom import _XhrConstructor
 
         document = DocumentObject(self)
         window = WindowObject(self, document)
-        g = self.interpreter
         g.define_global("XMLHttpRequest", _XhrConstructor(self))
         g.define_global("window", window)
         g.define_global("document", document)

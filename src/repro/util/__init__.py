@@ -3,7 +3,7 @@
 Everything in the project is deterministic: all randomness flows through
 seeded :class:`random.Random` instances created by :func:`repro.util.rand.rng`
 or forked with :func:`repro.util.rand.fork`.  Pure compile-style
-derivations (script ASTs, HTML token streams, regex parses, eTLD+1) are
+derivations (script bytecode, regex parses, eTLD+1) are
 memoised process-wide through :mod:`repro.util.lru` (see DESIGN §11).
 """
 

@@ -1,11 +1,11 @@
 """Process-wide bounded LRU caches for compiled artifacts.
 
 The render/scan hot path re-derives the same pure artifacts over and over:
-template-generated creatives share script source verbatim, every refresh
-re-parses the same HTML document, every ``new RegExp`` re-compiles the same
-pattern, and every oracle check re-derives the same eTLD+1.  Each derivation
-is a pure function of its input bytes, so the results are hash-addressable
-and safely shareable — provided the cached value is immutable (or is
+template-generated creatives share script source verbatim, every ``new
+RegExp`` re-compiles the same pattern, and every oracle check re-derives the
+same eTLD+1.  (HTML is not cached; see DESIGN §11.)  Each derivation is a
+pure function of its input bytes, so the results are hash-addressable and
+safely shareable — provided the cached value is immutable (or is
 re-materialised into a fresh mutable value per use; see DESIGN §11).
 
 This module provides the one cache primitive all of those layers share:

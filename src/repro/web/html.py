@@ -6,22 +6,18 @@ tags, raw-text script bodies, comments, doctype).  It deliberately does not
 attempt the full HTML5 tree-construction algorithm; the subset here is the
 one the crawler, the honeyclient and the tests exercise.
 
-Parsing is split into two stages so the expensive one is cacheable:
-tokenization produces an **immutable** token-tuple stream (memoised
-process-wide, keyed by a hash of the markup — creatives are
-template-generated and repeat verbatim across refreshes and honeyclient
-re-renders), and tree building re-materialises a **fresh mutable**
-:class:`~repro.web.dom.Document` from that stream on every call, because
-pages mutate their DOM (``document.write``, attribute writes) and a shared
-tree would leak one load's mutations into the next.
+Parsing runs in two stages: tokenization produces a stream of immutable
+token tuples, and tree building turns that stream into a **fresh mutable**
+:class:`~repro.web.dom.Document` on every call, because pages mutate their
+DOM (``document.write``, attribute writes).  Nothing is cached: a study
+sees more distinct documents than any bounded token cache can hold, so
+such a cache missed on every re-render (DESIGN §11).
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterator, Optional
 
-from repro.util.lru import LruCache
 from repro.web.dom import (
     CommentNode,
     Document,
@@ -34,7 +30,7 @@ from repro.web.dom import (
 # Elements whose open tag implicitly closes a previous sibling of the same tag.
 IMPLICIT_CLOSERS = frozenset({"li", "p", "td", "tr", "option"})
 
-# Immutable token forms (the cacheable tokenizer output):
+# Immutable token forms (the tokenizer output):
 #   (_TEXT, text)
 #   (_COMMENT, text)
 #   (_TAG, name, ((attr, value), ...), closing, self_closing)
@@ -61,6 +57,7 @@ class _Tokenizer:
     def __init__(self, markup: str) -> None:
         self.markup = markup
         self.pos = 0
+        self._lower: Optional[str] = None  # markup.lower(), made on first raw-text tag
 
     def tokens(self) -> Iterator[Token]:
         """Yield immutable token tuples (see module constants)."""
@@ -155,8 +152,9 @@ class _Tokenizer:
     def _read_raw_text(self, tag_name: str) -> str:
         """Consume raw text until the matching close tag (e.g. </script>)."""
         close = f"</{tag_name}"
-        lower = self.markup.lower()
-        idx = lower.find(close, self.pos)
+        if self._lower is None:
+            self._lower = self.markup.lower()
+        idx = self._lower.find(close, self.pos)
         if idx == -1:
             raw = self.markup[self.pos:]
             self.pos = len(self.markup)
@@ -167,25 +165,11 @@ class _Tokenizer:
         return raw
 
 
-# Document-hash -> immutable token tuple stream.  The DOM itself is never
-# cached (loads mutate it); only this read-only intermediate is shared.
-_TOKEN_CACHE = LruCache("html_tokens", capacity=2048)
-
-
-def _token_stream(markup: str) -> tuple[Token, ...]:
-    key = hashlib.sha256(markup.encode("utf-8", "backslashreplace")).digest()
-    tokens = _TOKEN_CACHE.get(key)
-    if tokens is None:
-        tokens = tuple(_Tokenizer(markup).tokens())
-        _TOKEN_CACHE.put(key, tokens)
-    return tokens
-
-
 def parse_html(markup: str) -> Document:
     """Parse ``markup`` into a fresh, mutable :class:`Document`."""
     document = Document()
     stack: list[Element] = [document]
-    for token in _token_stream(markup):
+    for token in _Tokenizer(markup).tokens():
         kind = token[0]
         if kind == _TEXT:
             stack[-1].append(TextNode(token[1]))

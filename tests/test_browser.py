@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.adscript.interpreter import Interpreter
+from repro.browser import browser as browser_module
 from repro.browser import events as ev
+from repro.browser.bom import TopWindowProxy
 from repro.browser.browser import Browser
 from repro.browser.plugins import patched_profile, vulnerable_profile
 from repro.malware.samples import build_executable, build_flash
@@ -318,3 +321,114 @@ class TestObfuscatedDropper:
         load = Browser(client).load("http://pub.com/")
         assert load.events.count(ev.EVAL_CALL) == 1
         assert len(load.downloads.executables()) == 1
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every interpreter the browser builds, in build order."""
+    made = []
+
+    class CountingInterpreter(Interpreter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(browser_module, "Interpreter", CountingInterpreter)
+    return made
+
+
+# Late-running code stores what it can see in document.cookie.
+PROBE = ("document.cookie = typeof window + ',' + (window.document === document)"
+         " + ',' + typeof top.location + ',' + typeof parent.location;")
+SEES_BOM = "object,true,object,object"
+
+
+def probed(load):
+    return [e.data["cookie"] for e in load.events.of_kind(ev.COOKIE_SET)]
+
+
+def serve_probe(pages):
+    pages[("ads.net", "/late.js")] = HttpResponse(
+        200, {"content-type": "application/javascript"}, PROBE.encode())
+
+
+class TestLazyScriptContext:
+    def test_scriptless_frames_build_no_interpreter(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page('<p>news</p><iframe src="http://ads.net/ad.html"></iframe>')
+        pages[("ads.net", "/ad.html")] = page('<img src="http://ads.net/b.gif">')
+        load = Browser(client).load("http://pub.com/")
+        assert len(load.page.all_frames()) == 2
+        assert built == []
+
+    def test_click_on_plain_anchor_builds_no_interpreter(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page('<a href="http://ads.net/landing">go</a>')
+        pages[("ads.net", "/landing")] = page("landing")
+        browser = Browser(client)
+        load = browser.load("http://pub.com/")
+        browser.click(load, load.page.main_frame, load.page.document.find("a"))
+        assert any(e.host == "ads.net" for e in load.har)
+        assert built == []
+
+    def test_only_frames_that_run_script_build_one(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            '<iframe src="http://ads.net/a.html"></iframe>'
+            '<iframe src="http://ads.net/b.html"></iframe>')
+        pages[("ads.net", "/a.html")] = page("<script>var x = 1;</script>")
+        pages[("ads.net", "/b.html")] = page("plain")
+        Browser(client).load("http://pub.com/")
+        assert len(built) == 1
+
+    def test_timer_string_sees_bom(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(f'<script>setTimeout("{PROBE}", 10);</script>')
+        assert probed(Browser(client).load("http://pub.com/")) == [SEES_BOM]
+
+    def test_onload_handler_sees_bom(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            f"<script>window.onload = function () {{ {PROBE} }};</script>")
+        assert probed(Browser(client).load("http://pub.com/")) == [SEES_BOM]
+
+    def test_document_written_script_sees_bom(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            "<script>document.write('<script src=\"http://ads.net/late.js\"></scr' + 'ipt>');"
+            "</script>")
+        serve_probe(pages)
+        assert probed(Browser(client).load("http://pub.com/")) == [SEES_BOM]
+        assert len(built) == 1
+
+    def test_appended_script_sees_bom(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            "<script>var s = document.createElement('script');"
+            "s.src = 'http://ads.net/late.js';"
+            "document.body.appendChild(s);</script>")
+        serve_probe(pages)
+        assert probed(Browser(client).load("http://pub.com/")) == [SEES_BOM]
+
+    def test_xhr_callback_sees_bom(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            "<script>var xhr = new XMLHttpRequest();"
+            "xhr.open('GET', 'http://ads.net/config.json');"
+            f"xhr.onreadystatechange = function () {{ {PROBE} }};"
+            "xhr.send();</script>")
+        pages[("ads.net", "/config.json")] = HttpResponse(
+            200, {"content-type": "application/json"}, b"{}")
+        assert probed(Browser(client).load("http://pub.com/")) == [SEES_BOM]
+
+    def test_subframe_top_is_cross_origin_proxy(self, world, built):
+        client, pages = world
+        pages[("pub.com", "/")] = page(
+            '<script>var t = 1;</script><iframe src="http://ads.net/ad.html"></iframe>')
+        pages[("ads.net", "/ad.html")] = page(f"<script>{PROBE}</script>")
+        load = Browser(client).load("http://pub.com/")
+        assert probed(load) == [SEES_BOM]
+        main, sub = built
+        assert main.globals.lookup("top") is main.globals.lookup("window")
+        assert isinstance(sub.globals.lookup("top"), TopWindowProxy)
+        assert isinstance(sub.globals.lookup("parent"), TopWindowProxy)

@@ -7,8 +7,8 @@ Three families of guarantees:
   goes fully inert when the global switch is off;
 * **immutability** — the AST fragments cached bytecode keeps are frozen
   (mutation raises) and runs that mutate their environment never poison
-  the shared ``CodeObject``; cached HTML token streams always
-  re-materialise a fresh mutable DOM;
+  the shared ``CodeObject``; HTML is not cached, and every parse builds a
+  fresh mutable DOM;
 * **footprint** — the bytecode cache keeps no parsed ``Program`` alive;
 * **behaviour invariance** — the full crawl+scan pipeline produces
   bit-identical corpus fingerprints and per-ad verdict fingerprints with
@@ -180,7 +180,7 @@ class TestProgramCache:
         assert _live_programs() == before
 
 
-# -- html token cache ---------------------------------------------------------
+# -- html parse (not cached) --------------------------------------------------
 
 
 MARKUP = ("<html><head><title>t</title></head><body>"
@@ -188,7 +188,7 @@ MARKUP = ("<html><head><title>t</title></head><body>"
           "<script>var x = 1;</script><!-- note --></body></html>")
 
 
-class TestHtmlTokenCache:
+class TestHtmlParse:
     def test_repeated_parse_yields_independent_doms(self):
         first = parse_html(MARKUP)
         div = first.find("div")
@@ -198,15 +198,6 @@ class TestHtmlTokenCache:
         assert second.find("div").get("processed") == ""
         assert "MUTATED" not in second.to_html()
         assert first is not second
-
-    def test_cached_and_uncached_parses_serialize_identically(self):
-        warm = parse_html(MARKUP)
-        with caches_disabled():
-            cold = parse_html(MARKUP)
-        assert warm.to_html() == cold.to_html()
-        assert warm.find("div").get("class") == "ad"
-        assert [s.text_content() for s in warm.scripts()] == \
-            [s.text_content() for s in cold.scripts()]
 
 
 # -- regex memo ---------------------------------------------------------------
@@ -352,7 +343,6 @@ class TestCachesAreBehaviorInvariant:
         # A warm render hits adscript_bytecode: parse and compile are both
         # cached away.
         assert compile_caches["adscript_bytecode"]["hits"] > 0
-        assert compile_caches["html_tokens"]["hits"] > 0
         assert compile_caches["url_etld"]["hits"] > 0
 
     @pytest.mark.parametrize("mode", MODES)
@@ -365,7 +355,7 @@ class TestCachesAreBehaviorInvariant:
     def test_service_stats_expose_cache_gauges(self, uncached_serial_baseline):
         _, _, stats = _run_pipeline(1, None, enabled=True)
         for name in ("adscript_bytecode",
-                     "adscript_regexes", "html_tokens",
+                     "adscript_regexes",
                      "url_etld", "url_site_domains"):
             assert name in stats["compile_caches"]
             assert f"compile_cache_{name}_hit_ratio" in stats["gauges"]

@@ -128,6 +128,22 @@ def corpus():
     return make_study().crawl().corpus
 
 
+def wait_for_scan_stacks(service: ScanService, n_workers: int) -> None:
+    """Block until every worker has built its oracle.
+
+    Without this, a fast worker can drain a small corpus before a slower
+    one has built its stack, and a fault aimed at the slow one never fires.
+    """
+    deadline = time.monotonic() + 120.0
+    while True:
+        workers = service.pool.workers
+        if len(workers) >= n_workers and \
+                all(worker.oracle is not None for worker in workers):
+            return
+        assert time.monotonic() < deadline, "scan workers did not come up"
+        time.sleep(0.001)
+
+
 def service_config(**overrides) -> ServiceConfig:
     defaults = dict(seed=SEED, n_workers=2, world_params=PARAMS,
                     batch_max_size=2, batch_max_delay=0.01)
@@ -143,6 +159,7 @@ class TestServiceBreakers:
             fault_hook=switch, breaker_threshold=2, breaker_cooldown=60.0,
             scan_max_attempts=10)
         with ScanService(config) as service:
+            wait_for_scan_stacks(service, config.n_workers)
             tickets = service.submit_corpus(corpus)
             service.drain()
             verdicts = [t.result(timeout=30) for t in tickets]

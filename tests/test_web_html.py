@@ -78,6 +78,13 @@ class TestScriptHandling:
         doc = parse_html("<script>one</script><p></p><script>two</script>")
         assert [s.text_content() for s in doc.scripts()] == ["one", "two"]
 
+    def test_mixed_case_raw_text_closers(self):
+        doc = parse_html("<SCRIPT>One</Script><p>Mid</p><style>B{}</STYLE>"
+                         "<script>Two</sCrIpT>tail")
+        assert [s.text_content() for s in doc.scripts()] == ["One", "Two"]
+        assert doc.find("style").text_content() == "B{}"
+        assert doc.to_html().endswith("tail")
+
     def test_unterminated_script(self):
         doc = parse_html("<script>var x = 1;")
         assert doc.find("script").text_content() == "var x = 1;"
