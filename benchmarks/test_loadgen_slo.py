@@ -96,7 +96,7 @@ def run_profile(population, schedule, **overrides) -> dict:
         scaled_down = None
         if service.autoscaler is not None:
             deadline = time.monotonic() + 10.0
-            while service.pool.size > config.autoscaler_config().min_workers \
+            while service.pool.size > config.autoscaler.min_workers \
                     and time.monotonic() < deadline:
                 time.sleep(0.01)
             scaled_down = service.pool.size

@@ -27,7 +27,7 @@ from repro.core.incidents import IncidentType
 from repro.core.results import StudyResults
 from repro.core.study import Study, StudyConfig, run_study
 from repro.datasets.world import World, WorldParams, build_world
-from repro.service import ScanService, ServiceConfig, VerdictCache
+from repro.service import ScanService, ServiceConfig
 
 __version__ = "1.0.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "Study",
     "StudyConfig",
     "StudyResults",
-    "VerdictCache",
     "World",
     "WorldParams",
     "analyze_arbitration",

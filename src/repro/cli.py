@@ -311,7 +311,9 @@ def _run_load_profile(args: argparse.Namespace, service, gateway,
     print(f"verdicts:       {malicious} malicious of {len(tickets)}")
 
 
-def _parse_autoscale(spec: str) -> tuple[int, int]:
+def _parse_autoscale(spec: str):
+    from repro.service import AutoscalerConfig
+
     lo_text, sep, hi_text = spec.partition(":")
     try:
         lo, hi = int(lo_text), int(hi_text)
@@ -319,7 +321,7 @@ def _parse_autoscale(spec: str) -> tuple[int, int]:
         raise SystemExit(f"--autoscale expects MIN:MAX, got {spec!r}")
     if not sep or lo < 1 or hi < lo:
         raise SystemExit(f"--autoscale expects 1 <= MIN <= MAX, got {spec!r}")
-    return lo, hi
+    return AutoscalerConfig(min_workers=lo, max_workers=hi)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -330,9 +332,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ScanService, ServiceConfig
 
     config = _config_from(args)
-    autoscale_min = autoscale_max = None
-    if args.autoscale:
-        autoscale_min, autoscale_max = _parse_autoscale(args.autoscale)
     service_config = ServiceConfig(
         seed=args.seed,
         n_workers=args.workers,
@@ -343,8 +342,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         world_params=config.world_params,
         store_path=args.store,
-        autoscale_min=autoscale_min,
-        autoscale_max=autoscale_max,
+        autoscaler=_parse_autoscale(args.autoscale) if args.autoscale else None,
     )
     with ScanService(service_config) as service:
         if service.store is not None:

@@ -3,11 +3,10 @@
 Fronts :class:`~repro.service.service.ScanService` with identity and
 policy: API-key authentication over hashed key storage
 (:mod:`repro.gateway.auth`), per-tenant sliding-window rate limiting
-with pluggable backends (:mod:`repro.gateway.ratelimit`), submission and
-spend quotas with cheap billing for cache/dedup hits
-(:mod:`repro.gateway.quota`), and priority classes feeding a
-weighted-fair stride scheduler in front of the bounded ingest queue
-(:mod:`repro.gateway.admission`) — composed by
+(:mod:`repro.gateway.ratelimit`), submission and spend quotas with
+cheap billing for cache/dedup hits (:mod:`repro.gateway.quota`), and
+priority classes feeding a weighted-fair stride scheduler in front of
+the bounded ingest queue (:mod:`repro.gateway.admission`) — composed by
 :class:`~repro.gateway.gateway.ScanGateway`, which also exposes the
 HTTP-shaped route table (``/v1/scan``, ``/v1/health``, ``/v1/stats``…).
 
@@ -47,8 +46,6 @@ from repro.gateway.quota import QuotaLedger, TenantUsage
 from repro.gateway.ratelimit import (
     MemorySlidingWindow,
     RateDecision,
-    RateLimitBackend,
-    TokenBucket,
 )
 
 __all__ = [
@@ -69,11 +66,9 @@ __all__ = [
     "QuotaExceededError",
     "QuotaLedger",
     "RateDecision",
-    "RateLimitBackend",
     "RateLimitedError",
     "ScanGateway",
     "Tenant",
-    "TokenBucket",
     "TenantDisabledError",
     "TenantRegistry",
     "TenantUsage",

@@ -45,7 +45,7 @@ from repro.gateway.errors import (
     maybe_retry_after,
 )
 from repro.gateway.quota import DEFAULT_CACHED_COST, DEFAULT_SCAN_COST, QuotaLedger
-from repro.gateway.ratelimit import MemorySlidingWindow, RateLimitBackend
+from repro.gateway.ratelimit import MemorySlidingWindow
 from repro.service.queue import QueueClosedError, QueueFullError
 from repro.service.service import (
     ScanService,
@@ -186,12 +186,11 @@ class ScanGateway:
 
     def __init__(self, service: ScanService,
                  registry: Optional[TenantRegistry] = None,
-                 config: Optional[GatewayConfig] = None,
-                 backend: Optional[RateLimitBackend] = None) -> None:
+                 config: Optional[GatewayConfig] = None) -> None:
         self.service = service
         self.config = config or GatewayConfig()
         self.registry = registry or TenantRegistry(self.config.secret_seed)
-        self.backend = backend or MemorySlidingWindow()
+        self.rate_limiter = MemorySlidingWindow()
         self.clock: Clock = self.config.clock or time.monotonic
         self.ledger = QuotaLedger(scan_cost=self.config.scan_cost,
                                   cached_cost=self.config.cached_cost)
@@ -256,8 +255,8 @@ class ScanGateway:
         tid = tenant.tenant_id
         now = self.clock()
         if tenant.rate_limit is not None:
-            decision = self.backend.check(tid, tenant.rate_limit,
-                                          tenant.rate_window, now)
+            decision = self.rate_limiter.check(tid, tenant.rate_limit,
+                                               tenant.rate_window, now)
             if not decision.allowed:
                 self.metrics.counter("gateway_throttled").inc()
                 self.metrics.counter(f"tenant.{tid}.throttled").inc()
@@ -445,7 +444,7 @@ class ScanGateway:
             "tenants": {tenant.tenant_id: self.tenant_rollup(tenant.tenant_id)
                         for tenant in self.registry.tenants()},
             "admission": self.admission.stats(),
-            "rate_limiter": self.backend.stats(),
+            "rate_limiter": self.rate_limiter.stats(),
             "admission_latency": snapshot["histograms"].get(
                 "gateway_admission_latency", {}),
         }

@@ -1,4 +1,4 @@
-"""Per-tenant sliding-window rate limiting with pluggable backends.
+"""Per-tenant sliding-window rate limiting.
 
 The limiter answers one question — "may this tenant submit *now*?" —
 from an exact sliding-window log: a request is admitted iff fewer than
@@ -8,26 +8,10 @@ and because it reads time only through the injected gateway clock the
 decision (and the ``retry_after`` it quotes on refusal) is a pure
 function of the request history — deterministic under a
 :class:`~repro.gateway.clock.ManualClock`.
-
-The backend is an interface so the window state can later live in an
-external store shared by many gateway processes; the in-memory
-implementation is the reference semantics any other backend must match.
-
-:class:`TokenBucket` is the deliberate exception: it keeps the backend
-protocol but trades the exact window for smoothed admission with a burst
-allowance — a tenant may spend up to ``limit × burst`` requests at once,
-then refills at ``limit / window`` per second.  Load-generator traffic
-is bursty by construction, and a sliding window turns every burst into a
-cliff (full budget, then a hard wall for a whole window); the bucket
-admits the burst and recovers continuously.  Its decisions are still a
-pure function of the request history and the injected clock, so the
-conformance suite's shared-semantics and determinism checks apply to it
-unchanged — only the window-log-exact assertions are sliding-specific.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -46,31 +30,14 @@ class RateDecision:
     retry_after: float = 0.0
 
 
-class RateLimitBackend:
-    """Where sliding-window state lives.
+class MemorySlidingWindow:
+    """The gateway's limiter: one timestamp deque per tenant.
 
-    Implementations must be safe under concurrent callers and must treat
-    ``check`` as the single atomic read-modify-write: evict expired
+    ``check`` is the single atomic read-modify-write: evict expired
     entries, then either record the request (allowed) or leave state
-    untouched and quote a retry time (refused).  Keeping the protocol
-    this small is what lets the state move to an external store (one
-    round trip per decision) without changing gateway semantics.
+    untouched and quote a retry time (refused).  Safe under concurrent
+    callers.
     """
-
-    def check(self, tenant_id: str, limit: int, window: float,
-              now: float) -> RateDecision:
-        raise NotImplementedError
-
-    def reset(self, tenant_id: str) -> None:
-        """Forget a tenant's window (admin action)."""
-        raise NotImplementedError
-
-    def stats(self) -> dict:
-        raise NotImplementedError
-
-
-class MemorySlidingWindow(RateLimitBackend):
-    """The in-process reference backend: one timestamp deque per tenant."""
 
     def __init__(self) -> None:
         self._windows: dict[str, deque] = {}
@@ -98,6 +65,7 @@ class MemorySlidingWindow(RateLimitBackend):
                                 retry_after=max(0.0, log[0] + window - now))
 
     def reset(self, tenant_id: str) -> None:
+        """Forget a tenant's window (admin action)."""
         with self._lock:
             self._windows.pop(tenant_id, None)
 
@@ -106,79 +74,6 @@ class MemorySlidingWindow(RateLimitBackend):
             return {
                 "backend": "memory",
                 "tenants_tracked": len(self._windows),
-                "allowed_total": self.allowed_total,
-                "throttled_total": self.throttled_total,
-            }
-
-
-#: Slack when comparing an accrued token balance against the whole-token
-#: cost, so a retry at exactly the quoted ``retry_after`` instant is
-#: admitted despite float rounding in the refill arithmetic.
-_TOKEN_EPSILON = 1e-9
-
-
-class TokenBucket(RateLimitBackend):
-    """Smoothed limiting with a burst allowance.
-
-    The tenant's ``(limit, window)`` pair maps onto bucket terms as
-    ``refill rate = limit / window`` tokens per second and ``capacity =
-    limit × burst``.  Each admitted request costs one token; a refusal
-    quotes ``retry_after`` as the exact time until one whole token has
-    accrued.  State per tenant is two floats — no per-request log — so
-    the backend is O(1) in both time and space per decision regardless
-    of traffic volume.
-
-    ``in_window`` is reported as the consumed capacity (``ceil(capacity
-    - tokens)``), the closest analogue to the sliding window's "requests
-    currently counted against you".
-    """
-
-    def __init__(self, burst: float = 1.0) -> None:
-        if burst < 1.0:
-            raise ValueError("burst must be >= 1.0")
-        self.burst = burst
-        #: tenant -> [tokens, last_refill_time]
-        self._buckets: dict[str, list[float]] = {}
-        self._lock = threading.Lock()
-        self.allowed_total = 0
-        self.throttled_total = 0
-
-    def check(self, tenant_id: str, limit: int, window: float,
-              now: float) -> RateDecision:
-        rate = limit / window
-        capacity = limit * self.burst
-        with self._lock:
-            bucket = self._buckets.get(tenant_id)
-            if bucket is None:
-                bucket = self._buckets[tenant_id] = [capacity, now]
-            tokens, last = bucket
-            tokens = min(capacity, tokens + max(0.0, now - last) * rate)
-            bucket[1] = now
-            if tokens >= 1.0 - _TOKEN_EPSILON:
-                bucket[0] = tokens - 1.0
-                self.allowed_total += 1
-                return RateDecision(
-                    allowed=True,
-                    in_window=math.ceil(capacity - bucket[0] - _TOKEN_EPSILON),
-                    limit=limit)
-            bucket[0] = tokens
-            self.throttled_total += 1
-            return RateDecision(
-                allowed=False,
-                in_window=math.ceil(capacity - tokens - _TOKEN_EPSILON),
-                limit=limit,
-                retry_after=(1.0 - tokens) / rate)
-
-    def reset(self, tenant_id: str) -> None:
-        with self._lock:
-            self._buckets.pop(tenant_id, None)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "backend": "token_bucket",
-                "burst": self.burst,
-                "tenants_tracked": len(self._buckets),
                 "allowed_total": self.allowed_total,
                 "throttled_total": self.throttled_total,
             }

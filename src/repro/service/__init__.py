@@ -2,7 +2,7 @@
 
 Wraps the batch :class:`~repro.core.oracle.CombinedOracle` as a serving
 system: bounded ingest queue with backpressure, content-hash verdict
-cache (LRU + TTL), micro-batching, a deterministic thread worker pool,
+cache (an LRU), micro-batching, a deterministic thread worker pool,
 and a metrics registry — composed by :class:`ScanService`.
 """
 
@@ -14,7 +14,6 @@ from repro.service.breaker import (
     DeadLetter,
     DeadLetterLog,
 )
-from repro.service.cache import VerdictCache
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.queue import (
     IngestQueue,
@@ -64,7 +63,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceDegradedError",
     "StreamingCorpus",
-    "VerdictCache",
     "hermetic_judge",
     "sighting_record",
     "stream_crawl",

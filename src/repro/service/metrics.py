@@ -78,6 +78,16 @@ class Gauge:
         return self._peak
 
 
+def _interpolate(samples: list[float], q: float) -> float:
+    """The ``q``-th percentile of non-empty sorted ``samples``, linearly
+    interpolated between the two nearest ranks."""
+    rank = (q / 100.0) * (len(samples) - 1)
+    lower = int(rank)
+    upper = min(lower + 1, len(samples) - 1)
+    fraction = rank - lower
+    return samples[lower] * (1.0 - fraction) + samples[upper] * fraction
+
+
 class Histogram:
     """A sliding-window sample reservoir with percentile summaries."""
 
@@ -134,13 +144,7 @@ class Histogram:
             raise ValueError("percentile must be in [0, 100]")
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        rank = (q / 100.0) * (len(samples) - 1)
-        lower = int(rank)
-        upper = min(lower + 1, len(samples) - 1)
-        fraction = rank - lower
-        return samples[lower] * (1.0 - fraction) + samples[upper] * fraction
+        return _interpolate(samples, q) if samples else 0.0
 
     def summary(self) -> dict:
         with self._lock:
@@ -149,22 +153,14 @@ class Histogram:
         if not samples:
             return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
                     "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-        def pct(q: float) -> float:
-            rank = (q / 100.0) * (len(samples) - 1)
-            lower = int(rank)
-            upper = min(lower + 1, len(samples) - 1)
-            fraction = rank - lower
-            return samples[lower] * (1.0 - fraction) + samples[upper] * fraction
-
         return {
             "count": count,
             "mean": total / count,
             "min": samples[0],
             "max": samples[-1],
-            "p50": pct(50.0),
-            "p95": pct(95.0),
-            "p99": pct(99.0),
+            "p50": _interpolate(samples, 50.0),
+            "p95": _interpolate(samples, 95.0),
+            "p99": _interpolate(samples, 99.0),
         }
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Union
 
@@ -29,12 +30,16 @@ from repro.datasets.world import WorldParams
 from repro.service.autoscaler import Autoscaler, AutoscalerConfig
 from repro.service.batcher import MicroBatcher
 from repro.service.breaker import DeadLetterLog
-from repro.service.cache import VerdictCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.queue import IngestQueue, QueueClosedError, QueueFullError
 from repro.service.workers import OracleWorkerPool, ScanFaultHook, ScanTask
 from repro.store import StoreConfig, StoreWriteError, VerdictStore
 from repro.util import lru
+
+
+#: How often an idle elastic worker surfaces from the batcher to check
+#: for retirement (seconds).  Only used when autoscaling.
+WORKER_POLL = 0.02
 
 
 class ServiceDegradedError(RuntimeError):
@@ -52,7 +57,6 @@ class ServiceConfig:
     batch_max_size: int = 8
     batch_max_delay: float = 0.05
     cache_capacity: int = 65536
-    cache_ttl: Optional[float] = None
     blacklist_threshold: int = 5
     vt_threshold: int = 4
     world_params: Optional[WorldParams] = None
@@ -65,8 +69,6 @@ class ServiceConfig:
     breaker_threshold: Optional[int] = 3
     #: Seconds an open breaker waits before admitting a half-open probe.
     breaker_cooldown: float = 0.2
-    #: Dead-letter log capacity (oldest letters are dropped beyond it).
-    dead_letter_capacity: int = 1024
     #: Test/chaos hook: (worker_index, task) → None, raise to simulate a
     #: worker's scan stack failing.
     fault_hook: Optional[ScanFaultHook] = None
@@ -75,29 +77,12 @@ class ServiceConfig:
     store_path: Optional[Union[str, Path]] = None
     #: Store knobs (shards, segment size, fsync cadence); None = defaults.
     store_config: Optional[StoreConfig] = None
-    #: Elastic pool sizing: a full :class:`AutoscalerConfig`, or the
-    #: ``autoscale_min``/``autoscale_max`` shorthand below.  None keeps
-    #: the fixed ``n_workers`` pool, bit-identical to the seed.
+    #: Elastic pool sizing; None keeps the fixed ``n_workers`` pool,
+    #: bit-identical to the seed.
     autoscaler: Optional[AutoscalerConfig] = None
-    autoscale_min: Optional[int] = None
-    autoscale_max: Optional[int] = None
-    #: How often an idle elastic worker surfaces from the batcher to
-    #: check for retirement (seconds).  Only used when autoscaling.
-    worker_poll: float = 0.02
     #: Crashed pool workers respawned (in total) before the pool stops
     #: replacing them; 0 = no respawn (the seed behaviour).
     worker_max_restarts: int = 0
-
-    def autoscaler_config(self) -> Optional[AutoscalerConfig]:
-        """Resolve the elastic-pool knobs (shorthand or full config)."""
-        if self.autoscaler is not None:
-            return self.autoscaler
-        if self.autoscale_min is None and self.autoscale_max is None:
-            return None
-        lo = self.autoscale_min if self.autoscale_min is not None else 1
-        hi = (self.autoscale_max if self.autoscale_max is not None
-              else max(lo, self.n_workers))
-        return AutoscalerConfig(min_workers=lo, max_workers=hi)
 
     def study_config(self) -> StudyConfig:
         """The equivalent batch-pipeline config (for oracle construction)."""
@@ -228,8 +213,9 @@ class ScanService:
                  store: Optional[VerdictStore] = None) -> None:
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
-        self.cache = VerdictCache(
-            capacity=self.config.cache_capacity, ttl=self.config.cache_ttl)
+        # Content hash -> verdict.  Unnamed, so it stays out of the
+        # process-wide compile-cache registry.
+        self.cache = lru.LruCache(None, self.config.cache_capacity)
         # The persistent tier: an explicit store wins; otherwise one is
         # opened (with full crash recovery) when the config names a path.
         self._owns_store = store is None and self.config.store_path is not None
@@ -244,16 +230,14 @@ class ScanService:
         self.batcher = MicroBatcher(self.queue,
                                     max_size=self.config.batch_max_size,
                                     max_delay=self.config.batch_max_delay)
-        self.dead_letters = DeadLetterLog(
-            capacity=self.config.dead_letter_capacity)
-        scaling = self.config.autoscaler_config()
+        self.dead_letters = DeadLetterLog()
+        scaling = self.config.autoscaler
         if scaling is not None:
             # Elastic pool: start at the floor and let the autoscaler
             # climb; workers poll the batcher with a timeout so idle ones
             # notice retirement instead of blocking in the queue forever.
             initial_workers = scaling.min_workers
-            poll = self.config.worker_poll
-            next_batch = lambda: self.batcher.next_batch(timeout=poll)  # noqa: E731
+            next_batch = partial(self.batcher.next_batch, timeout=WORKER_POLL)
             max_workers = scaling.max_workers
         else:
             initial_workers = self.config.n_workers
@@ -291,13 +275,6 @@ class ScanService:
         self.metrics.histogram("batch_size")
         self.metrics.histogram("scan_latency")
         self.metrics.histogram("first_sight_latency")
-        # Compile caches (repro.util.lru) are process-wide; mirror their
-        # totals into this service's counters as deltas observed since the
-        # service was constructed.
-        self._compile_cache_baseline: dict[tuple[str, str], int] = {}
-        for name, stats in lru.cache_stats().items():
-            for kind in ("hits", "misses"):
-                self._compile_cache_baseline[(name, kind)] = stats[kind]
         self._pending: dict[str, _PendingScan] = {}
         # Cross-shard first-sight dedup: content hash -> the winning
         # sighting.  First submit wins; every later sighting of the same
@@ -608,9 +585,8 @@ class ScanService:
 
     def stats(self) -> dict:
         """One dict with everything: metrics, cache, queue, batcher, pool."""
-        compile_caches = self._sync_compile_cache_metrics()
         snapshot = self.metrics.snapshot()
-        snapshot["compile_caches"] = compile_caches
+        snapshot["compile_caches"] = lru.cache_stats()
         snapshot["cache"] = self.cache.stats()
         snapshot["queue"] = self.queue.stats()
         snapshot["batcher"] = self.batcher.stats()
@@ -626,37 +602,8 @@ class ScanService:
             snapshot["autoscaler"] = self.autoscaler.stats()
         snapshot["dead_letter"] = self.dead_letters.stats()
         if self.store is not None:
-            store_stats = self.store.stats()
-            snapshot["store"] = store_stats
-            # Mirror the load-bearing store numbers into gauges so they
-            # ride along with every metrics snapshot/export.
-            self.metrics.gauge("store_records").set(store_stats["records"])
-            self.metrics.gauge("store_segments_sealed").set(
-                store_stats["segments"]["sealed"])
-            self.metrics.gauge("store_bloom_hit_ratio").set(
-                store_stats["bloom"]["hit_ratio"])
+            snapshot["store"] = self.store.stats()
         return snapshot
-
-    def _sync_compile_cache_metrics(self) -> dict:
-        """Mirror the process-wide compile caches into this registry.
-
-        Counters carry the hits/misses observed since this service was
-        constructed (delta-tracked — the caches are shared by the whole
-        process, including activity before the service existed); the
-        hit-ratio gauges report each cache's process-wide rate.
-        """
-        all_stats = lru.cache_stats()
-        for name, stats in all_stats.items():
-            for kind in ("hits", "misses"):
-                key = (name, kind)
-                last = self._compile_cache_baseline.get(key, 0)
-                delta = stats[kind] - last
-                if delta > 0:
-                    self.metrics.counter(f"compile_cache_{name}_{kind}").inc(delta)
-                self._compile_cache_baseline[key] = stats[kind]
-            self.metrics.gauge(f"compile_cache_{name}_hit_ratio").set(
-                stats["hit_rate"])
-        return all_stats
 
 
 def _snapshot(record: AdRecord) -> AdRecord:

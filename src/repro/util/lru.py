@@ -8,11 +8,12 @@ pure function of its input bytes, so the results are hash-addressable and
 safely shareable — provided the cached value is immutable (or is
 re-materialised into a fresh mutable value per use; see DESIGN §11).
 
-This module provides the one cache primitive all of those layers share:
+This module provides the one cache primitive all of those layers share
+(and ``ScanService``'s content-hash verdict cache, unregistered):
 
 * :class:`LruCache` — a bounded, thread-safe LRU with hit/miss counters.
-* a process-wide registry so the service layer can surface every cache's
-  hit ratio through its metrics without importing each caching module.
+* a process-wide registry so the service layer can surface every named
+  cache's hit ratio without importing each caching module.
 * a global enable/disable switch (:func:`set_caches_enabled`,
   :func:`caches_disabled`) used by the differential determinism tests and
   the cold legs of the benchmarks: with caches off, every ``get`` misses
@@ -42,12 +43,14 @@ _ENABLED = True
 class LruCache:
     """A bounded, thread-safe LRU cache with hit/miss accounting.
 
-    Instances register themselves in the process-wide registry under
+    Named instances register themselves in the process-wide registry under
     ``name`` so :func:`cache_stats` can enumerate them; creating two caches
-    with the same name is a programming error.
+    with the same name is a programming error.  An unnamed cache (``name``
+    ``None``) stays out of the registry: ``ScanService`` keeps its verdict
+    cache that way, one per service.
     """
 
-    def __init__(self, name: str, capacity: int) -> None:
+    def __init__(self, name: Optional[str], capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.name = name
@@ -56,6 +59,8 @@ class LruCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        if name is None:
+            return
         with _REGISTRY_LOCK:
             if name in _REGISTRY:
                 raise ValueError(f"duplicate cache name: {name!r}")
@@ -65,7 +70,7 @@ class LruCache:
         """Return the cached value, or ``None`` on a miss.
 
         ``None`` is never a legal cached value here — every cache in this
-        codebase stores compiled objects or non-empty strings.  When caches
+        codebase stores compiled objects, verdicts or non-empty strings.  When caches
         are globally disabled this returns ``None`` without counting a miss.
         """
         if not _ENABLED:

@@ -16,6 +16,7 @@ such a cache missed on every re-render (DESIGN §11).
 
 from __future__ import annotations
 
+import string
 from typing import Iterator, Optional
 
 from repro.web.dom import (
@@ -40,6 +41,11 @@ _TAG = "tag"
 
 Token = tuple
 
+# Lowers ASCII letters only, so every index stays valid in the original
+# markup (``str.lower`` can lengthen a string: "İ" lowers to two code
+# points), and close tags match ASCII-case-insensitively, as in HTML.
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
 
 def _unescape(text: str) -> str:
     return (
@@ -57,7 +63,7 @@ class _Tokenizer:
     def __init__(self, markup: str) -> None:
         self.markup = markup
         self.pos = 0
-        self._lower: Optional[str] = None  # markup.lower(), made on first raw-text tag
+        self._lower: Optional[str] = None  # ASCII-lowered markup, made on first raw-text tag
 
     def tokens(self) -> Iterator[Token]:
         """Yield immutable token tuples (see module constants)."""
@@ -153,7 +159,9 @@ class _Tokenizer:
         """Consume raw text until the matching close tag (e.g. </script>)."""
         close = f"</{tag_name}"
         if self._lower is None:
-            self._lower = self.markup.lower()
+            markup = self.markup
+            self._lower = (markup.lower() if markup.isascii()
+                           else markup.translate(_ASCII_LOWER))
         idx = self._lower.find(close, self.pos)
         if idx == -1:
             raw = self.markup[self.pos:]

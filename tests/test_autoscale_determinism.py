@@ -263,7 +263,8 @@ class TestAutoscaledVerdictDeterminism:
     def test_autoscaled_pool_matches_serial(self, population, schedule,
                                             fixed_serial):
         scaled, pool_stats = run_load(
-            population, schedule, autoscale_min=1, autoscale_max=4,
+            population, schedule,
+            autoscaler=AutoscalerConfig(min_workers=1, max_workers=4),
             worker_max_restarts=2)
         assert scaled == fixed_serial
         assert pool_stats["peak_size"] >= 1
@@ -304,7 +305,8 @@ class TestAutoscaledStreamDeterminism:
         crawler = study.build_parallel_crawler(workers=2, mode=mode)
         config = ServiceConfig(seed=SEED, n_workers=2, world_params=PARAMS,
                                batch_max_size=4, batch_max_delay=0.01,
-                               autoscale_min=1, autoscale_max=4,
+                               autoscaler=AutoscalerConfig(min_workers=1,
+                                                           max_workers=4),
                                worker_max_restarts=2)
         with ScanService(config) as service:
             corpus, _, tickets = stream_crawl(

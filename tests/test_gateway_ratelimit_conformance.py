@@ -1,170 +1,93 @@
-"""Conformance suite for :class:`~repro.gateway.ratelimit.RateLimitBackend`.
+"""Conformance suite for :class:`~repro.gateway.ratelimit.MemorySlidingWindow`.
 
-The suite is layered the way the protocol's guarantees are:
+The suite is layered the way the limiter's guarantees are:
 
-* **Shared semantics** — what the *gateway* relies on from any backend:
+* **Shared semantics** — what the *gateway* relies on from the limiter:
   fresh tenants get their full budget, refusals are stateless and quote
   an honoured ``retry_after`` appointment, silence restores the budget,
   tenants are isolated, ``reset`` works, decisions replay
   deterministically, and concurrent checks admit exactly the budget.
-  Every registered backend must pass these.
 * **Sliding-window-exact** — assertions about the window *log* itself
   (exact in-window counts, oldest-entry expiry quotes, inclusive
-  boundary eviction).  Only backends claiming sliding-window semantics
-  are held to them; a token bucket is deliberately different here.
-* **Token-bucket behaviour** — the smoothed-admission contract: burst
-  allowance above the per-window limit, continuous refill at
-  ``limit / window``, O(1) state.
+  boundary eviction).
 
-``SortedSetSlidingWindow`` below is the redis-shaped double: it stores
-each tenant's window as a score-ordered member list and prunes by score
-range, exactly the ZADD/ZREMRANGEBYSCORE/ZCARD shape a real redis
-backend would use — proving the protocol is implementable one round
-trip per decision.
+The ``limiter`` fixture keeps its parametrized id so the test names stay stable.
 """
 
 import threading
 
 import pytest
 
-from repro.gateway.ratelimit import (
-    MemorySlidingWindow,
-    RateDecision,
-    RateLimitBackend,
-    TokenBucket,
-)
+from repro.gateway.ratelimit import MemorySlidingWindow
 
 
-class SortedSetSlidingWindow(RateLimitBackend):
-    """A redis-ZSET-shaped backend: score-ordered timestamps per tenant.
-
-    Semantics must match :class:`MemorySlidingWindow` exactly; storage
-    deliberately mimics what a redis implementation would do per check —
-    prune the score range ``(-inf, now - window]``, count, and either
-    add the new timestamp or quote the oldest member's expiry.
-    """
-
-    def __init__(self) -> None:
-        self._zsets: dict[str, list[float]] = {}
-        self._lock = threading.Lock()
-        self.allowed_total = 0
-        self.throttled_total = 0
-
-    def check(self, tenant_id: str, limit: int, window: float,
-              now: float) -> RateDecision:
-        with self._lock:
-            zset = self._zsets.setdefault(tenant_id, [])
-            cutoff = now - window
-            # ZREMRANGEBYSCORE -inf (now - window]
-            keep = 0
-            while keep < len(zset) and zset[keep] <= cutoff:
-                keep += 1
-            del zset[:keep]
-            if len(zset) < limit:  # ZCARD < limit -> ZADD
-                zset.append(now)
-                self.allowed_total += 1
-                return RateDecision(allowed=True, in_window=len(zset),
-                                    limit=limit)
-            self.throttled_total += 1
-            return RateDecision(allowed=False, in_window=len(zset),
-                                limit=limit,
-                                retry_after=max(0.0, zset[0] + window - now))
-
-    def reset(self, tenant_id: str) -> None:
-        with self._lock:
-            self._zsets.pop(tenant_id, None)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "backend": "sorted_set",
-                "tenants_tracked": len(self._zsets),
-                "allowed_total": self.allowed_total,
-                "throttled_total": self.throttled_total,
-            }
-
-
-#: Backends with exact sliding-window semantics (the reference family).
-SLIDING_BACKENDS = [MemorySlidingWindow, SortedSetSlidingWindow]
-
-#: Every registered backend — all must satisfy the shared semantics.
-BACKENDS = SLIDING_BACKENDS + [TokenBucket]
-
-
-@pytest.fixture(params=BACKENDS, ids=lambda cls: cls.__name__)
-def backend(request) -> RateLimitBackend:
-    return request.param()
-
-
-@pytest.fixture(params=SLIDING_BACKENDS, ids=lambda cls: cls.__name__)
-def sliding(request) -> RateLimitBackend:
+@pytest.fixture(params=[MemorySlidingWindow], ids=lambda cls: cls.__name__)
+def limiter(request) -> MemorySlidingWindow:
     return request.param()
 
 
 class TestSharedAdmission:
-    """Semantics the gateway depends on from *any* backend."""
+    """Semantics the gateway depends on from the limiter."""
 
-    def test_fresh_tenant_gets_its_full_budget(self, backend):
+    def test_fresh_tenant_gets_its_full_budget(self, limiter):
         # `limit` immediate requests all land; the next one is refused.
         for _ in range(5):
-            decision = backend.check("t", limit=5, window=10.0, now=0.0)
+            decision = limiter.check("t", limit=5, window=10.0, now=0.0)
             assert decision.allowed
             assert decision.limit == 5
             assert decision.retry_after == 0.0
-        refused = backend.check("t", 5, 10.0, now=0.0)
+        refused = limiter.check("t", 5, 10.0, now=0.0)
         assert not refused.allowed
         assert refused.retry_after > 0.0
 
-    def test_refusal_leaves_state_untouched(self, backend):
+    def test_refusal_leaves_state_untouched(self, limiter):
         for i in range(2):
-            backend.check("t", 2, 10.0, now=float(i))
-        first = backend.check("t", 2, 10.0, now=2.0)
-        second = backend.check("t", 2, 10.0, now=2.0)
+            limiter.check("t", 2, 10.0, now=float(i))
+        first = limiter.check("t", 2, 10.0, now=2.0)
+        second = limiter.check("t", 2, 10.0, now=2.0)
         assert first == second  # a refused request must not consume budget
 
-    def test_retry_appointment_is_honoured(self, backend):
-        # Spend the whole budget at one instant (the only saturation
-        # pattern every backend agrees refuses next), then retry at the
-        # quoted appointment.
+    def test_retry_appointment_is_honoured(self, limiter):
+        # Spend the whole budget at one instant, then retry at the quoted
+        # appointment.
         for _ in range(2):
-            backend.check("t", 2, 10.0, now=0.0)
-        refused = backend.check("t", 2, 10.0, now=0.0)
+            limiter.check("t", 2, 10.0, now=0.0)
+        refused = limiter.check("t", 2, 10.0, now=0.0)
         assert not refused.allowed
-        # Retrying exactly at the quoted instant succeeds, whichever way
-        # the backend computed the appointment (oldest-entry expiry for
-        # a window log, whole-token accrual for a bucket).
-        assert backend.check("t", 2, 10.0,
+        # Retrying exactly at the quoted instant (the oldest entry's
+        # expiry) succeeds.
+        assert limiter.check("t", 2, 10.0,
                              now=refused.retry_after).allowed
 
-    def test_burst_then_silence_fully_restores_the_budget(self, backend):
+    def test_burst_then_silence_fully_restores_the_budget(self, limiter):
         for i in range(4):
-            backend.check("t", 4, 5.0, now=0.1 * i)
-        assert not backend.check("t", 4, 5.0, now=1.0).allowed
-        assert backend.check("t", 4, 5.0, now=100.0).allowed
+            limiter.check("t", 4, 5.0, now=0.1 * i)
+        assert not limiter.check("t", 4, 5.0, now=1.0).allowed
+        assert limiter.check("t", 4, 5.0, now=100.0).allowed
 
 
 class TestSharedIsolationAndAdmin:
-    def test_tenants_do_not_share_budgets(self, backend):
+    def test_tenants_do_not_share_budgets(self, limiter):
         for _ in range(3):
-            assert backend.check("alpha", 3, 10.0, now=0.0).allowed
-        assert not backend.check("alpha", 3, 10.0, now=0.0).allowed
-        assert backend.check("beta", 3, 10.0, now=0.0).allowed
+            assert limiter.check("alpha", 3, 10.0, now=0.0).allowed
+        assert not limiter.check("alpha", 3, 10.0, now=0.0).allowed
+        assert limiter.check("beta", 3, 10.0, now=0.0).allowed
 
-    def test_reset_forgets_one_tenant_only(self, backend):
+    def test_reset_forgets_one_tenant_only(self, limiter):
         for _ in range(2):
-            backend.check("alpha", 2, 10.0, now=0.0)
-            backend.check("beta", 2, 10.0, now=0.0)
-        backend.reset("alpha")
-        assert backend.check("alpha", 2, 10.0, now=0.0).allowed
-        assert not backend.check("beta", 2, 10.0, now=0.0).allowed
+            limiter.check("alpha", 2, 10.0, now=0.0)
+            limiter.check("beta", 2, 10.0, now=0.0)
+        limiter.reset("alpha")
+        assert limiter.check("alpha", 2, 10.0, now=0.0).allowed
+        assert not limiter.check("beta", 2, 10.0, now=0.0).allowed
 
-    def test_reset_of_unknown_tenant_is_a_no_op(self, backend):
-        backend.reset("never-seen")  # must not raise
+    def test_reset_of_unknown_tenant_is_a_no_op(self, limiter):
+        limiter.reset("never-seen")  # must not raise
 
-    def test_stats_shape(self, backend):
-        backend.check("t", 1, 10.0, now=0.0)
-        backend.check("t", 1, 10.0, now=0.0)
-        stats = backend.stats()
+    def test_stats_shape(self, limiter):
+        limiter.check("t", 1, 10.0, now=0.0)
+        limiter.check("t", 1, 10.0, now=0.0)
+        stats = limiter.stats()
         assert stats["tenants_tracked"] == 1
         assert stats["allowed_total"] == 1
         assert stats["throttled_total"] == 1
@@ -181,25 +104,23 @@ class TestSharedDeterminism:
         ("b", 2, 5.0, 5.7), ("a", 3, 10.0, 11.2), ("a", 3, 10.0, 11.3),
     ]
 
-    def test_replay_is_deterministic(self, backend):
-        first = [backend.check(*req) for req in self.SCRIPT]
-        backend.reset("a")
-        backend.reset("b")
-        second = [backend.check(*req) for req in self.SCRIPT]
+    def test_replay_is_deterministic(self, limiter):
+        first = [limiter.check(*req) for req in self.SCRIPT]
+        limiter.reset("a")
+        limiter.reset("b")
+        second = [limiter.check(*req) for req in self.SCRIPT]
         assert first == second
 
-    def test_concurrent_checks_admit_exactly_the_budget(self, backend):
+    def test_concurrent_checks_admit_exactly_the_budget(self, limiter):
         # 16 threads race 200 checks at one instant; admissions must
         # total exactly the budget — atomicity of the read-modify-write.
-        # (At a single instant the sliding window's budget and the
-        # bucket's capacity coincide at `limit`.)
         limit, admitted = 25, []
         barrier = threading.Barrier(16)
 
         def hammer():
             barrier.wait()
             for i in range(200 // 16 + 1):
-                if backend.check("t", limit, 60.0, now=1.0).allowed:
+                if limiter.check("t", limit, 60.0, now=1.0).allowed:
                     admitted.append(1)
 
         threads = [threading.Thread(target=hammer) for _ in range(16)]
@@ -211,124 +132,41 @@ class TestSharedDeterminism:
 
 
 class TestSlidingWindowExact:
-    """The window-log contract only sliding backends are held to."""
+    """The window-log contract."""
 
-    def test_in_window_counts_every_logged_request(self, sliding):
+    def test_in_window_counts_every_logged_request(self, limiter):
         for i in range(5):
-            decision = sliding.check("t", 5, 10.0, now=float(i))
+            decision = limiter.check("t", 5, 10.0, now=float(i))
             assert decision.allowed
             assert decision.in_window == i + 1
 
-    def test_refuses_at_the_limit_with_exact_count(self, sliding):
+    def test_refuses_at_the_limit_with_exact_count(self, limiter):
         for i in range(3):
-            assert sliding.check("t", 3, 10.0, now=float(i)).allowed
-        decision = sliding.check("t", 3, 10.0, now=3.0)
+            assert limiter.check("t", 3, 10.0, now=float(i)).allowed
+        decision = limiter.check("t", 3, 10.0, now=3.0)
         assert not decision.allowed
         assert decision.in_window == 3
 
-    def test_retry_after_quotes_the_oldest_expiry(self, sliding):
+    def test_retry_after_quotes_the_oldest_expiry(self, limiter):
         # Requests at t=0,1,2 with a 10s window: the oldest expires at
         # t=10, so a refusal at t=3 must quote exactly 7 seconds.
         for i in range(3):
-            sliding.check("t", 3, 10.0, now=float(i))
-        decision = sliding.check("t", 3, 10.0, now=3.0)
+            limiter.check("t", 3, 10.0, now=float(i))
+        decision = limiter.check("t", 3, 10.0, now=3.0)
         assert decision.retry_after == pytest.approx(7.0)
 
-    def test_entries_expire_after_the_window(self, sliding):
+    def test_entries_expire_after_the_window(self, limiter):
         for i in range(3):
-            sliding.check("t", 3, 10.0, now=float(i))
-        assert not sliding.check("t", 3, 10.0, now=3.0).allowed
+            limiter.check("t", 3, 10.0, now=float(i))
+        assert not limiter.check("t", 3, 10.0, now=3.0).allowed
         # At t=10.5 the t=0 entry has left the window.
-        decision = sliding.check("t", 3, 10.0, now=10.5)
+        decision = limiter.check("t", 3, 10.0, now=10.5)
         assert decision.allowed
         assert decision.in_window == 3  # t=1, t=2, t=10.5
 
-    def test_boundary_eviction_is_inclusive(self, sliding):
+    def test_boundary_eviction_is_inclusive(self, limiter):
         # An entry exactly `window` old sits ON the cutoff and must be
         # evicted (log[0] <= cutoff): full window = free slot again.
-        sliding.check("t", 1, 10.0, now=0.0)
-        assert not sliding.check("t", 1, 10.0, now=9.999).allowed
-        assert sliding.check("t", 1, 10.0, now=10.0).allowed
-
-    def test_all_sliding_backends_agree_decision_for_decision(self):
-        runs = []
-        for factory in SLIDING_BACKENDS:
-            backend = factory()
-            runs.append([backend.check(*req)
-                        for req in TestSharedDeterminism.SCRIPT])
-        reference = runs[0]
-        for run in runs[1:]:
-            assert run == reference
-
-
-class TestTokenBucketBehaviour:
-    """The smoothed-admission contract specific to the bucket."""
-
-    def test_burst_allowance_admits_above_the_per_window_limit(self):
-        bucket = TokenBucket(burst=2.0)
-        # capacity = limit × burst = 10: a cold tenant may spend twice
-        # its steady-state budget at one instant.
-        admitted = sum(bucket.check("t", 5, 10.0, now=0.0).allowed
-                       for _ in range(12))
-        assert admitted == 10
-
-    def test_refill_is_continuous_not_a_window_cliff(self):
-        bucket = TokenBucket()
-        for _ in range(2):
-            bucket.check("t", 2, 10.0, now=0.0)
-        refused = bucket.check("t", 2, 10.0, now=0.0)
-        # One whole token accrues every window/limit = 5s.
-        assert refused.retry_after == pytest.approx(5.0)
-        assert bucket.check("t", 2, 10.0, now=5.0).allowed
-        # ...and only one: the next request still has to wait.
-        assert not bucket.check("t", 2, 10.0, now=5.0).allowed
-
-    def test_sustained_rate_converges_on_limit_per_window(self):
-        bucket = TokenBucket()
-        # Offer 2 req/s against limit 10 per 10s (refill 1 token/s): the
-        # initial capacity plus 30s of refill bounds the admissions.
-        admitted = 0
-        for tick in range(60):
-            now = tick * 0.5
-            admitted += bucket.check("t", 10, 10.0, now=now).allowed
-        assert admitted == pytest.approx(10 + 29.5, abs=1)
-
-    def test_in_window_reports_consumed_capacity(self):
-        bucket = TokenBucket()
-        first = bucket.check("t", 4, 10.0, now=0.0)
-        second = bucket.check("t", 4, 10.0, now=0.0)
-        assert (first.in_window, second.in_window) == (1, 2)
-
-    def test_burst_below_one_is_rejected(self):
-        with pytest.raises(ValueError):
-            TokenBucket(burst=0.5)
-
-    def test_gateway_runs_on_a_bucket_backend(self):
-        """The backend swap is invisible to gateway call sites."""
-        from repro.datasets.world import WorldParams
-        from repro.gateway import GatewayConfig, ScanGateway, Tenant
-        from repro.gateway.clock import ManualClock
-        from repro.gateway.errors import RateLimitedError
-        from repro.service import ScanService, ServiceConfig
-        from repro.service.service import sighting_record
-
-        params = WorldParams(n_top_sites=2, n_bottom_sites=2,
-                             n_other_sites=2, n_feed_sites=1,
-                             n_benign_campaigns=6, n_malicious_campaigns=2)
-        clock = ManualClock()
-        config = ServiceConfig(seed=11, n_workers=1, world_params=params)
-        with ScanService(config) as service:
-            gateway = ScanGateway(
-                service, config=GatewayConfig(clock=clock),
-                backend=TokenBucket(burst=2.0))
-            key = gateway.register_tenant(
-                Tenant("acme", rate_limit=2, rate_window=10.0))
-            for i in range(4):  # burst of capacity 4 admitted
-                gateway.submit_html(key, f"<html>ad {i}</html>")
-            with pytest.raises(RateLimitedError) as refusal:
-                gateway.submit_html(key, "<html>one more</html>")
-            assert refusal.value.retry_after == pytest.approx(5.0)
-            clock.advance(5.0)
-            gateway.submit_html(key, "<html>after refill</html>")
-            service.drain()
-        assert gateway.backend.stats()["backend"] == "token_bucket"
+        limiter.check("t", 1, 10.0, now=0.0)
+        assert not limiter.check("t", 1, 10.0, now=9.999).allowed
+        assert limiter.check("t", 1, 10.0, now=10.0).allowed

@@ -193,6 +193,8 @@ class TestMetrics:
         assert summary["min"] == 1.0 and summary["max"] == 4.0
         assert summary["mean"] == pytest.approx(2.5)
         assert summary["p50"] == pytest.approx(2.5)
+        for q in (50, 95, 99):
+            assert summary[f"p{q}"] == histogram.percentile(q)
 
     def test_histogram_window_slides(self):
         histogram = Histogram("latency", window=4)

@@ -85,6 +85,15 @@ class TestScriptHandling:
         assert doc.find("style").text_content() == "B{}"
         assert doc.to_html().endswith("tail")
 
+    def test_raw_text_after_text_that_lowercases_longer(self):
+        # "İ".lower() is two code points; the close tag must still be
+        # found at an index valid in the original markup.
+        doc = parse_html("<p>İİİİ</p><script>var a=1;</script>"
+                         "<STYLE>B{}</Style>after")
+        assert doc.find("script").text_content() == "var a=1;"
+        assert doc.find("style").text_content() == "B{}"
+        assert doc.to_html().endswith("after")
+
     def test_unterminated_script(self):
         doc = parse_html("<script>var x = 1;")
         assert doc.find("script").text_content() == "var x = 1;"
